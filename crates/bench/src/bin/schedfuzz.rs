@@ -13,8 +13,9 @@
 //! * `--pct N` — same, under PCT-style adversarial priority dispatch
 //!   ([`SchedMode::Pct`]); `--gap G` sets the mean change-point gap.
 //! * `--smoke` — the CI gate: 3 seeds × {genome, vacation-high} ×
-//!   {eager HTM, lazy STM} × both modes at 4 threads, sanitizer on,
-//!   plus a byte-identical double-run of the JSON report.
+//!   {eager HTM, lazy STM} × both modes at 4 threads, then 2 seeds of
+//!   the same matrix under min-clock at 16 threads, sanitizer on, plus a
+//!   byte-identical double-run of the JSON report.
 //! * `--golden [--check]` — (re)generate or verify the
 //!   `results/golden/*.json` cycle-count regression files (see
 //!   [`bench::golden`]).
@@ -217,6 +218,18 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
     ] {
         sweep(&variants, &systems, 4, scale, mode, 0, 3, None, sink);
     }
+    // The paper's headline thread count.
+    sweep(
+        &variants,
+        &systems,
+        16,
+        scale,
+        SchedMode::MinClock,
+        0,
+        2,
+        None,
+        sink,
+    );
     // Byte-identical JSON proof: render the same mini-report twice.
     let render_once = || {
         let mut s = JsonSink::new();
@@ -286,10 +299,10 @@ fn main() {
         });
         let pct_seeds = args.get_u64("pct", 0);
         let sweep_seeds = args.get_u64("sweep", 0);
-        assert!(
-            pct_seeds > 0 || sweep_seeds > 0,
-            "pick a mode: --smoke, --sweep N, --pct N, or --golden [--check]"
-        );
+        if pct_seeds == 0 && sweep_seeds == 0 {
+            eprintln!("usage: schedfuzz --smoke | --sweep N | --pct N | --golden [--check]");
+            std::process::exit(2);
+        }
         if sweep_seeds > 0 {
             sweep(
                 &variants,

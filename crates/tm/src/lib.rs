@@ -78,7 +78,7 @@ pub use fault::{FaultConfig, FaultKind, SplitMix64, WatchdogConfig};
 pub use heap::{TArray, TCell, TmHeap, TmValue};
 pub use prof::{ConflictPair, HotLine, ProfBucket, ProfReport, ProfThreadReport, PROF_BUCKETS};
 pub use runtime::{RunReport, ThreadCtx, TmRuntime};
-pub use sched::{SchedMode, Scheduler, DEFAULT_PCT_GAP, DEFAULT_SCHED_SEED};
+pub use sched::{SchedCounters, SchedMode, Scheduler, DEFAULT_PCT_GAP, DEFAULT_SCHED_SEED};
 pub use sim::{SimBarrier, XorShift64};
 pub use stats::{RunStats, TxnRecord, VerifyCost};
 pub use trace::TraceLevel;

@@ -20,7 +20,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::heap::{TCell, TmHeap, TmValue};
 use crate::locks::{GlobalClock, LockTable};
 use crate::prof::{ProfBucket, ProfReport, ProfShared, ProfThread, ProfThreadReport};
-use crate::sched::Scheduler;
+use crate::sched::{SchedCounters, Scheduler};
 use crate::signature::Signature;
 use crate::sim::{SimBarrier, SimMutex, XorShift64, FLUSH_CYCLES};
 use crate::stats::{RunStats, ThreadStats};
@@ -135,6 +135,10 @@ pub struct RunReport {
     /// under injected faults; the aggregate alone cannot distinguish a
     /// starved thread from an idle one.
     pub thread_commits: Vec<u64>,
+    /// Scheduler advances, handoffs and wakeups (all zero when
+    /// time-ordered scheduling is off). Host-dependent through
+    /// `wakeups`, so no pinned artifact records them.
+    pub sched: SchedCounters,
     /// Sanitizer report, present when the run had `TmConfig::verify`
     /// (or `TM_VERIFY=1`) enabled.
     pub verify: Option<VerifyReport>,
@@ -278,6 +282,7 @@ impl TmRuntime {
             wall,
             stats,
             thread_commits,
+            sched: global.scheduler.counters(),
             verify,
             prof,
         }

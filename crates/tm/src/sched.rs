@@ -28,6 +28,13 @@
 //!   deliberately adversarial — interleavings, every one of them
 //!   reproducible and still quantum-bounded.
 //!
+//! Each logical thread sleeps on its own condvar, all paired with the
+//! one state mutex. Whoever changes the dispatch state (the turn holder,
+//! or the barrier releaser while every thread is parked) re-runs the
+//! pick itself and wakes only the thread it chose, so a handoff costs
+//! one wakeup whatever the thread count. [`SchedCounters`] records
+//! advances, handoffs and wakeups for the [`crate::RunReport`].
+//!
 //! The `bench --bin schedfuzz` harness sweeps seeds in both modes with
 //! the [`crate::verify`] sanitizer recording every transaction, turning
 //! the sanitizer from a spot check into a fuzzing oracle.
@@ -128,6 +135,20 @@ enum ThreadStatus {
 /// always pairwise distinct and demoted threads rank below everyone.
 const PRIO_BASE: u64 = u64::MAX / 2;
 
+/// Host-side scheduler event counts for one run
+/// ([`crate::RunReport::sched`]). `advances` and `handoffs` follow from
+/// the schedule; `wakeups` also counts spurious condvar returns, so it
+/// depends on the host and stays out of every pinned artifact.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SchedCounters {
+    /// [`Scheduler::advance`] calls: published progress steps.
+    pub advances: u64,
+    /// Turn-holder changes; each wakes at most one sleeping thread.
+    pub handoffs: u64,
+    /// Returns from a condvar wait.
+    pub wakeups: u64,
+}
+
 struct SchedState {
     clocks: Vec<u64>,
     status: Vec<ThreadStatus>,
@@ -143,6 +164,7 @@ struct SchedState {
     next_low: u64,
     /// Seeded stream for PCT change-point gaps.
     rng: XorShift64,
+    counters: SchedCounters,
 }
 
 /// The deterministic turn-based scheduler: exactly one logical thread
@@ -156,7 +178,10 @@ pub struct Scheduler {
     /// ties); a Fisher–Yates permutation of `0..threads`.
     rank: Vec<u64>,
     state: Mutex<SchedState>,
-    cv: Condvar,
+    /// One condvar per logical thread, all paired with `state`: thread
+    /// `t` sleeps only on `cvs[t]`, so a handoff wakes only the new
+    /// holder.
+    cvs: Vec<Condvar>,
 }
 
 impl Scheduler {
@@ -195,8 +220,9 @@ impl Scheduler {
                 next_change,
                 next_low: PRIO_BASE - 1,
                 rng,
+                counters: SchedCounters::default(),
             }),
-            cv: Condvar::new(),
+            cvs: (0..threads).map(|_| Condvar::new()).collect(),
         }
     }
 
@@ -248,24 +274,40 @@ impl Scheduler {
         next
     }
 
-    /// Block until `tid` holds the turn.
-    ///
-    /// A thread only ever sleeps here when `pick` selected someone else,
-    /// and `pick` records its selection in `current` — so the holder can
-    /// never itself be asleep, and one notification per holder *change*
-    /// suffices (re-notifying on an unchanged holder would only wake
-    /// threads that go straight back to sleep).
-    fn wait_turn_locked(&self, tid: usize, mut s: MutexGuard<'_, SchedState>) {
-        loop {
-            let prev = s.current;
-            let next = self.pick(&mut s);
-            if next == Some(tid) {
-                return;
+    /// Re-run [`Scheduler::pick`] after a state change and wake the
+    /// chosen thread — only it, and only if the holder changed from
+    /// `prev`. `pick` is pure in the state, and only the holder (or the
+    /// barrier releaser, while every thread is parked) changes that
+    /// state, so this is exactly the holder any other thread would
+    /// compute. The chosen thread need not be asleep yet (still
+    /// spawning, or inside `SimBarrier::wait_role`): the notification is
+    /// then lost, and harmlessly so, because it calls `pick` under the
+    /// lock before it ever waits and retention hands it the turn.
+    fn hand_off(&self, s: &mut SchedState, prev: Option<usize>) -> Option<usize> {
+        let next = self.pick(s);
+        if next != prev {
+            if let Some(t) = next {
+                s.counters.handoffs += 1;
+                self.cvs[t].notify_one();
             }
-            if next != prev {
-                self.cv.notify_all();
-            }
-            self.cv.wait(&mut s);
+        }
+        next
+    }
+
+    /// Block until `tid` holds the turn; `prev` is the holder before the
+    /// caller's state change. A thread sleeps only on its own condvar,
+    /// and only after `pick` chose someone else, so the holder is never
+    /// asleep and it is the only thread each handoff wakes.
+    fn wait_turn_locked(
+        &self,
+        tid: usize,
+        mut s: MutexGuard<'_, SchedState>,
+        mut prev: Option<usize>,
+    ) {
+        while self.hand_off(&mut s, prev) != Some(tid) {
+            self.cvs[tid].wait(&mut s);
+            s.counters.wakeups += 1;
+            prev = s.current;
         }
     }
 
@@ -277,7 +319,8 @@ impl Scheduler {
             return;
         }
         let s = self.state.lock();
-        self.wait_turn_locked(tid, s);
+        let prev = s.current;
+        self.wait_turn_locked(tid, s, prev);
     }
 
     /// Publish `cycles` of progress for `tid`, then block until `tid`
@@ -290,6 +333,8 @@ impl Scheduler {
         }
         let mut s = self.state.lock();
         debug_assert_eq!(s.status[tid], ThreadStatus::Running);
+        s.counters.advances += 1;
+        let prev = s.current;
         s.clocks[tid] += cycles;
         if let SchedMode::Pct { avg_gap } = self.mode {
             s.steps += 1;
@@ -303,36 +348,13 @@ impl Scheduler {
                 s.current = None;
             }
         }
-        self.wait_turn_locked(tid, s);
+        self.wait_turn_locked(tid, s, prev);
     }
 
     /// Mark `tid` as parked (e.g. at a phase barrier): it no longer
     /// participates in dispatch and the turn moves on.
     pub fn park(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
-        let mut s = self.state.lock();
-        s.status[tid] = ThreadStatus::Parked;
-        if s.current == Some(tid) {
-            s.current = None;
-        }
-        drop(s);
-        self.cv.notify_all();
-    }
-
-    /// Resume `tid` with its clock raised to `clock`. Does not wait for
-    /// the turn — follow with [`Scheduler::wait_turn`] before touching
-    /// shared state.
-    pub fn unpark(&self, tid: usize, clock: u64) {
-        if !self.enabled {
-            return;
-        }
-        let mut s = self.state.lock();
-        s.status[tid] = ThreadStatus::Running;
-        s.clocks[tid] = s.clocks[tid].max(clock);
-        drop(s);
-        self.cv.notify_all();
+        self.retire(tid, ThreadStatus::Parked);
     }
 
     /// Release every parked thread at the synchronized `clock` in one
@@ -352,23 +374,31 @@ impl Scheduler {
                 s.clocks[t] = s.clocks[t].max(clock);
             }
         }
-        s.current = None;
-        drop(s);
-        self.cv.notify_all();
+        // A fresh pick, without retention: the released threads all
+        // compete from the synchronized clock.
+        let prev = s.current.take();
+        self.hand_off(&mut s, prev);
     }
 
     /// Mark `tid` as finished.
     pub fn done(&self, tid: usize) {
+        self.retire(tid, ThreadStatus::Done);
+    }
+
+    /// Take `tid` out of dispatch and hand the turn on if it held it.
+    fn retire(&self, tid: usize, status: ThreadStatus) {
         if !self.enabled {
             return;
         }
         let mut s = self.state.lock();
-        s.status[tid] = ThreadStatus::Done;
-        if s.current == Some(tid) {
-            s.current = None;
-        }
-        drop(s);
-        self.cv.notify_all();
+        s.status[tid] = status;
+        let prev = s.current;
+        self.hand_off(&mut s, prev);
+    }
+
+    /// Scheduler event counts so far.
+    pub(crate) fn counters(&self) -> SchedCounters {
+        self.state.lock().counters
     }
 
     /// The published clock of `tid` (excludes unflushed local cycles).
@@ -395,8 +425,10 @@ impl std::fmt::Debug for Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::SimBarrier;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
 
     fn sched(threads: usize, quantum: u64) -> Scheduler {
         Scheduler::new(threads, quantum, true, SchedMode::MinClock, 42)
@@ -529,6 +561,117 @@ mod tests {
         assert_eq!(sched.clock(1), 10_000);
         sched.done(0);
         sched.done(1);
+    }
+
+    /// How long a handoff test waits before calling a wakeup lost.
+    const HANG: Duration = Duration::from_secs(10);
+
+    /// Threads in tie-break order: on equal clocks the first one runs.
+    fn by_rank(s: &Scheduler) -> Vec<usize> {
+        let mut order: Vec<usize> = (0..s.rank.len()).collect();
+        order.sort_by_key(|&t| s.rank[t]);
+        order
+    }
+
+    #[test]
+    fn park_hands_turn_to_thread_not_yet_waiting() {
+        let sched = Arc::new(sched(2, 0));
+        let (h, o) = (by_rank(&sched)[0], by_rank(&sched)[1]);
+        sched.wait_turn(h);
+        // `o` has not reached the scheduler yet, so the wakeup finds no
+        // sleeper; `o` must still take the turn when it arrives.
+        sched.park(h);
+        assert_eq!(sched.state.lock().current, Some(o));
+        let (tx, rx) = mpsc::channel();
+        let s = sched.clone();
+        let handle = std::thread::spawn(move || {
+            s.wait_turn(o);
+            s.advance(o, 10);
+            s.done(o);
+            tx.send(()).unwrap();
+        });
+        rx.recv_timeout(HANG)
+            .expect("the new turn holder never ran");
+        handle.join().unwrap();
+        let c = sched.counters();
+        assert_eq!((c.advances, c.handoffs, c.wakeups), (1, 2, 0));
+    }
+
+    #[test]
+    fn done_wakes_next_min_clock_thread() {
+        let sched = Arc::new(sched(3, 0));
+        let order = by_rank(&sched);
+        let (h, a, b) = (order[0], order[1], order[2]);
+        let (tx, rx) = mpsc::channel();
+        // Each thread publishes once and sleeps until its next turn. The
+        // turn goes h → a → b → h, so when `h` finishes, `a` (clock 20)
+        // and `b` (clock 15) are both asleep on their own condvars. `a`
+        // wins clock ties against `b`, so only min-clock order runs `b`
+        // first.
+        let mut handles = Vec::new();
+        for (t, cycles) in [(h, 10), (a, 20), (b, 15)] {
+            let (s, tx) = (sched.clone(), tx.clone());
+            handles.push(std::thread::spawn(move || {
+                s.wait_turn(t);
+                s.advance(t, cycles);
+                if t != h {
+                    tx.send(t).unwrap();
+                }
+                s.done(t);
+            }));
+        }
+        let ran: Vec<usize> = (0..2)
+            .map(|_| rx.recv_timeout(HANG).expect("lost wakeup after done"))
+            .collect();
+        assert_eq!(ran, vec![b, a]);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn unpark_all_picks_thread_still_in_barrier() {
+        const ROUNDS: usize = 8;
+        let sched = Arc::new(sched(2, 0));
+        let first = by_rank(&sched)[0];
+        let barrier = Arc::new(SimBarrier::new(2));
+        // The non-releaser is held between its barrier exit and
+        // `wait_turn` until the releaser has re-picked, so a pick that
+        // goes to it always finds it not yet waiting on its condvar.
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let gate_rx = Arc::new(Mutex::new(gate_rx));
+        let (tx, rx) = mpsc::channel();
+        let mut handles = Vec::new();
+        for tid in 0..2 {
+            let (s, b, tx) = (sched.clone(), barrier.clone(), tx.clone());
+            let (gate_tx, gate_rx) = (gate_tx.clone(), gate_rx.clone());
+            handles.push(std::thread::spawn(move || {
+                s.wait_turn(tid);
+                for _ in 0..ROUNDS {
+                    s.park(tid);
+                    let (release, releaser) = b.wait_role(s.clock(tid));
+                    if releaser {
+                        s.unpark_all(release);
+                        assert_eq!(s.state.lock().current, Some(first));
+                        gate_tx.send(()).unwrap();
+                    } else {
+                        gate_rx.lock().recv_timeout(HANG).unwrap();
+                    }
+                    s.wait_turn(tid);
+                    tx.send(tid).unwrap();
+                }
+                s.done(tid);
+            }));
+        }
+        let ran: Vec<usize> = (0..2 * ROUNDS)
+            .map(|_| rx.recv_timeout(HANG).expect("lost wakeup after barrier"))
+            .collect();
+        // Equal clocks after each release: rank order, every round.
+        let other = 1 - first;
+        assert_eq!(ran, [first, other].repeat(ROUNDS));
+        for handle in handles {
+            handle.join().unwrap();
+        }
     }
 
     #[test]

@@ -445,3 +445,41 @@ fn single_thread_sim_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+/// Targeted handoff: a turn-holder change wakes only the new holder, so
+/// condvar wakeups track handoffs rather than handoffs × sleepers.
+/// Quantum 0 makes nearly every published step a handoff, and the
+/// barriers exercise park / unpark_all.
+#[test]
+fn scheduler_wakes_only_the_new_turn_holder() {
+    let threads = 16;
+    let rt = TmRuntime::new(TmConfig::new(SystemKind::LazyStm, threads).quantum(0));
+    let counter = rt.heap().alloc_cell(0u64);
+    let barrier = rt.new_barrier();
+    let report = rt.run(|ctx| {
+        for i in 0..40 {
+            ctx.atomic(|txn| {
+                let v = txn.read(&counter)?;
+                txn.work(5);
+                txn.write(&counter, v + 1)
+            });
+            if i % 10 == 9 {
+                ctx.barrier(&barrier);
+            }
+        }
+    });
+    assert_eq!(rt.heap().load_cell(&counter), 40 * threads as u64);
+    let c = report.sched;
+    assert!(
+        c.advances > 0 && c.handoffs > 100,
+        "too few handoffs: {c:?}"
+    );
+    // Spurious condvar returns are rare but allowed.
+    let allowance = threads as u64 + c.handoffs / 100;
+    assert!(
+        c.wakeups <= c.handoffs + allowance,
+        "{} wakeups for {} handoffs: sleepers woke for turns that were not theirs",
+        c.wakeups,
+        c.handoffs
+    );
+}
