@@ -15,7 +15,10 @@ fn main() {
         seed: args.get_u32("s", 1),
         adtree: !args.get_bool("scan-backend"),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("bayes: {e}");
+        std::process::exit(2)
+    });
     let report = bayes::run(&params, cfg);
     println!("{report}");
     if !report.verified {

@@ -11,7 +11,10 @@ fn main() {
         num_segments: args.get_u64("n", 16384),
         seed: args.get_u32("seed", 0),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("genome: {e}");
+        std::process::exit(2)
+    });
     let report = genome::run(&params, cfg);
     println!("{report}");
     if !report.verified {

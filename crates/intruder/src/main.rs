@@ -11,7 +11,10 @@ fn main() {
         num_flows: args.get_u32("n", 2048),
         seed: args.get_u32("s", 1),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("intruder: {e}");
+        std::process::exit(2)
+    });
     let report = intruder::run(&params, cfg);
     println!("{report}");
     if !report.verified {

@@ -14,7 +14,10 @@ fn main() {
         centers: args.get_u32("centers", 16),
         seed: args.get_u32("s", 7),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("kmeans: {e}");
+        std::process::exit(2)
+    });
     let report = kmeans::run(&params, cfg);
     println!("{report}");
     if !report.verified {

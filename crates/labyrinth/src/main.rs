@@ -12,7 +12,10 @@ fn main() {
         paths: args.get_u32("n", 96),
         seed: args.get_u32("seed", 5),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("labyrinth: {e}");
+        std::process::exit(2)
+    });
     let report = labyrinth::run(&params, cfg);
     println!("{report}");
     if !report.verified {

@@ -13,7 +13,10 @@ fn main() {
         max_parallel_edges: args.get_u32("p", 3),
         seed: args.get_u32("seed", 3),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("ssca2: {e}");
+        std::process::exit(2)
+    });
     let report = ssca2::run(&params, cfg);
     println!("{report}");
     if !report.verified {

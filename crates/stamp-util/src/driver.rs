@@ -20,11 +20,19 @@ use crate::cli::Args;
 /// * `--prof` — run under the `tm::prof` cycle-accounting profiler
 ///   (both are zero-simulated-cost observers); the CLI summary then
 ///   appends the cycle breakdown and hottest conflict lines.
-pub fn tm_config_from_args(args: &Args) -> TmConfig {
-    let system = args
-        .get("system")
-        .map(|s| SystemKind::parse(s).unwrap_or_else(|| panic!("unknown system {s:?}")))
-        .unwrap_or(SystemKind::LazyStm);
+///
+/// An unknown `--system`, `--sched` or `--granularity` value is an
+/// error naming the flag and its accepted values.
+pub fn tm_config_from_args(args: &Args) -> Result<TmConfig, String> {
+    let system = match args.get("system") {
+        Some(s) => SystemKind::parse(s).ok_or_else(|| {
+            format!(
+                "unknown --system {s:?} \
+                 (seq|lazy-htm|eager-htm|lazy-stm|eager-stm|lazy-hybrid|eager-hybrid|lock)"
+            )
+        })?,
+        None => SystemKind::LazyStm,
+    };
     let threads = args.get_u64("threads", 4) as usize;
     let mut cfg = if system == SystemKind::Sequential {
         TmConfig::sequential()
@@ -38,7 +46,7 @@ pub fn tm_config_from_args(args: &Args) -> TmConfig {
     if let Some(mode) = args.get("sched") {
         cfg = cfg.sched(
             SchedMode::parse(mode)
-                .unwrap_or_else(|| panic!("unknown sched mode {mode:?} (minclock|pct)")),
+                .ok_or_else(|| format!("unknown --sched {mode:?} (minclock|pct)"))?,
         );
     }
     if args.get_bool("cache-sim") {
@@ -53,9 +61,9 @@ pub fn tm_config_from_args(args: &Args) -> TmConfig {
     match args.get("granularity") {
         Some("line") => cfg = cfg.stm_granularity(Granularity::Line),
         Some("word") | None => {}
-        Some(other) => panic!("unknown granularity {other:?}"),
+        Some(other) => return Err(format!("unknown --granularity {other:?} (word|line)")),
     }
-    cfg
+    Ok(cfg)
 }
 
 #[cfg(test)]
@@ -68,7 +76,7 @@ mod tests {
 
     #[test]
     fn defaults() {
-        let cfg = tm_config_from_args(&parse(""));
+        let cfg = tm_config_from_args(&parse("")).unwrap();
         assert_eq!(cfg.system, SystemKind::LazyStm);
         assert_eq!(cfg.threads, 4);
     }
@@ -78,7 +86,8 @@ mod tests {
         let cfg = tm_config_from_args(&parse(
             "--system eager-htm --threads 8 --quantum 100 --cache-sim --granularity line \
              --sched pct --sched-seed 99",
-        ));
+        ))
+        .unwrap();
         assert_eq!(cfg.system, SystemKind::EagerHtm);
         assert_eq!(cfg.threads, 8);
         assert_eq!(cfg.quantum, 100);
@@ -90,16 +99,37 @@ mod tests {
 
     #[test]
     fn observer_flags() {
-        let cfg = tm_config_from_args(&parse("--verify --prof"));
+        let cfg = tm_config_from_args(&parse("--verify --prof")).unwrap();
         assert!(cfg.verify);
         assert!(cfg.prof);
-        let cfg = tm_config_from_args(&parse(""));
+        let cfg = tm_config_from_args(&parse("")).unwrap();
         assert!(!cfg.prof);
     }
 
     #[test]
     fn sequential_forces_one_thread() {
-        let cfg = tm_config_from_args(&parse("--system seq --threads 8"));
+        let cfg = tm_config_from_args(&parse("--system seq --threads 8")).unwrap();
         assert_eq!(cfg.threads, 1);
+    }
+
+    #[test]
+    fn bad_system_is_an_error() {
+        let err = tm_config_from_args(&parse("--system lazy-tsm")).unwrap_err();
+        assert!(err.contains("--system \"lazy-tsm\""), "{err}");
+        assert!(err.contains("lazy-stm"), "{err}");
+    }
+
+    #[test]
+    fn bad_sched_is_an_error() {
+        let err = tm_config_from_args(&parse("--sched fifo")).unwrap_err();
+        assert!(err.contains("--sched \"fifo\""), "{err}");
+        assert!(err.contains("minclock|pct"), "{err}");
+    }
+
+    #[test]
+    fn bad_granularity_is_an_error() {
+        let err = tm_config_from_args(&parse("--granularity byte")).unwrap_err();
+        assert!(err.contains("--granularity \"byte\""), "{err}");
+        assert!(err.contains("word|line"), "{err}");
     }
 }

@@ -1,7 +1,10 @@
 //! A minimal FNV/Fx-style hasher for the engine's hot hash maps (write
-//! buffers, line sets, directory shards). Avoids an external dependency;
-//! quality is adequate because keys are simulated addresses that are
-//! already well distributed.
+//! buffers, line sets, directory shards, and `tm::verify`'s per-attempt
+//! line index, released-line set, bypass dedup set, and the install-run,
+//! edge-dedup and first-seen maps of its finalize pass). Avoids an
+//! external dependency; quality is adequate because keys are simulated
+//! addresses (or transaction node pairs) that are already well
+//! distributed, never input from outside the program.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

@@ -642,13 +642,12 @@ impl ThreadCtx {
         &mut self,
         addr: WordAddr,
     ) -> (u64, Option<verify::PendingRead>) {
-        let ThreadCtx { global, vtx, .. } = self;
-        match &global.verify {
+        match &self.global.verify {
             Some(vs) => {
-                let (v, p) = verify::read_pending(vs, vtx, &global.heap, addr);
+                let (v, p) = verify::read_pending(vs, &self.global.heap, addr);
                 (v, Some(p))
             }
-            None => (global.heap.raw_load(addr), None),
+            None => (self.global.heap.raw_load(addr), None),
         }
     }
 

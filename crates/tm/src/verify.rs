@@ -43,38 +43,68 @@
 //! instrumented paths plus the finalize pass) and is reported in
 //! [`crate::stats::VerifyCost`].
 //!
+//! Data layout, chosen so that a shadow lookup is array indexing, not
+//! hashing, and a committed log holds no slack:
+//!
+//! * The **shadow heap** is dense and indexed by word address, like
+//!   [`TmHeap`] itself: a page table of fixed-size pages, each page
+//!   allocated zeroed the first time one of its words is touched. An
+//!   entry whose `seq` is 0 has never been touched; the first check of
+//!   such a word seeds it from the real heap value as an environment
+//!   install, so first touch is never mistaken for a bypass.
+//! * Per-attempt logs are plain vectors. The early-release index is an
+//!   intrusive chain through the read log (each observation links to
+//!   the previous read of its line) plus one `line → newest read` map,
+//!   so releasing a line walks exactly the reads it must mark.
+//! * The remaining maps and sets use [`crate::fxhash`], and `finalize`
+//!   works from one sorted install list, so its edge witnesses and
+//!   violation order are a pure function of the run.
+//!
 //! Deadlock discipline: code holding the verify mutex never touches
 //! the scheduler, lock table, directory, or commit token — it only
-//! reads/writes the heap word under inspection and the shadow map.
+//! reads/writes the heap word under inspection and the shadow heap.
 //! (The converse — taking the verify mutex while holding a directory
 //! shard lock, as the lazy HTM's per-line commit does — is fine.)
 
 use std::collections::hash_map::Entry as MapEntry;
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 
 use crate::config::SystemKind;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::heap::TmHeap;
 use crate::stats::VerifyCost;
 use crate::{LineAddr, WordAddr};
 
-/// Who installed a shadow entry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Writer {
-    /// Pre-existing memory, setup-phase writes, or instrumented
-    /// non-transactional stores (`ThreadCtx::store`): not a graph node.
-    Env,
-    /// A transactional attempt, by its globally unique attempt id.
-    Attempt(u64),
+/// Who installed a shadow entry: 0 stands for the environment
+/// (pre-existing memory, setup-phase writes, or instrumented
+/// non-transactional stores such as `ThreadCtx::store`), which is not a
+/// graph node; any other value is the globally unique id of the
+/// transactional attempt (ids start at 1).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Writer(u64);
+
+impl Writer {
+    const ENV: Writer = Writer(0);
+
+    fn attempt(id: u64) -> Writer {
+        debug_assert_ne!(id, 0, "attempt ids start at 1");
+        Writer(id)
+    }
+
+    /// The installing attempt, or `None` for the environment.
+    fn attempt_id(self) -> Option<u64> {
+        (self.0 != 0).then_some(self.0)
+    }
 }
 
-/// Current shadow state of one heap word.
-#[derive(Debug, Clone, Copy)]
+/// Current shadow state of one heap word. The all-zero entry (`seq`
+/// 0) means "never touched".
+#[derive(Debug, Clone, Copy, Default)]
 struct ShadowEntry {
-    /// Globally unique install sequence number.
+    /// Globally unique install sequence number (issued from 1 up).
     seq: u64,
     /// Who installed it.
     writer: Writer,
@@ -82,12 +112,43 @@ struct ShadowEntry {
     value: u64,
 }
 
+/// log2 of the shadow page size in words.
+const SHADOW_PAGE_BITS: u32 = 12;
+/// Words per shadow page.
+const SHADOW_PAGE_WORDS: usize = 1 << SHADOW_PAGE_BITS;
+
+/// Dense shadow of the heap, indexed by word address. Pages are
+/// allocated zeroed on first touch, so an untouched word reads as an
+/// entry with `seq == 0`.
+#[derive(Debug, Default)]
+struct ShadowHeap {
+    pages: Vec<Option<Box<[ShadowEntry]>>>,
+}
+
+impl ShadowHeap {
+    fn slot(&mut self, addr: u64) -> &mut ShadowEntry {
+        let page = (addr >> SHADOW_PAGE_BITS) as usize;
+        if page >= self.pages.len() {
+            self.pages.resize_with(page + 1, || None);
+        }
+        let words = self.pages[page]
+            .get_or_insert_with(|| vec![ShadowEntry::default(); SHADOW_PAGE_WORDS].into());
+        &mut words[addr as usize & (SHADOW_PAGE_WORDS - 1)]
+    }
+}
+
+/// `ReadObs::prev_same_line` value marking the end of a line's chain.
+const NO_READ: u32 = u32::MAX;
+
 /// One read observation: `(address, version)` plus provenance.
 #[derive(Debug, Clone, Copy)]
 struct ReadObs {
     addr: u64,
     seq: u64,
     writer: Writer,
+    /// Index in the attempt's read log of the previous read of the same
+    /// line since that line was last released ([`NO_READ`] if none).
+    prev_same_line: u32,
     /// Set when the transaction later early-releases the line; released
     /// observations are excluded from edges and consistency checks.
     released: bool,
@@ -123,11 +184,12 @@ pub(crate) struct VerifyTxn {
     /// order; restored (in reverse) on rollback, mirroring the
     /// engine's own undo log one-for-one.
     shadow_undo: Vec<(u64, ShadowEntry)>,
-    /// line -> indices into `reads` that an early release of that line
-    /// would retroactively mark as released.
-    line_reads: HashMap<u64, Vec<usize>>,
+    /// line -> index in `reads` of the newest read of that line since
+    /// its last release: the head of the chain an early release of the
+    /// line walks (via `ReadObs::prev_same_line`) to mark reads released.
+    line_heads: FxHashMap<u64, u32>,
     /// Lines released by `early_release` and not re-read since.
-    released_lines: HashSet<u64>,
+    released_lines: FxHashSet<u64>,
     /// Addresses written while their line sat in `released_lines`.
     release_violations: Vec<u64>,
 }
@@ -137,8 +199,8 @@ pub(crate) struct VerifyTxn {
 struct CommittedTxn {
     attempt: u64,
     tid: usize,
-    reads: Vec<ReadObs>,
-    writes: Vec<WriteObs>,
+    reads: Box<[ReadObs]>,
+    writes: Box<[WriteObs]>,
     release_violations: Vec<u64>,
 }
 
@@ -146,13 +208,13 @@ struct CommittedTxn {
 struct VerifyInner {
     next_seq: u64,
     next_attempt: u64,
-    shadow: HashMap<u64, ShadowEntry>,
+    shadow: ShadowHeap,
     committed: Vec<CommittedTxn>,
     /// Violations detected while the run is still going (bypassed
     /// writes, zombie reads in aborted STM attempts).
     runtime_violations: Vec<Violation>,
     /// Addresses already reported as bypassed (dedup).
-    bypass_reported: HashSet<u64>,
+    bypass_reported: FxHashSet<u64>,
 }
 
 /// Global sanitizer state, one per [`crate::runtime::TmRuntime::run`]
@@ -382,41 +444,42 @@ impl VerifyInner {
     /// a bypassed write: report it once per address and re-seed so the
     /// run can continue producing meaningful observations.
     fn entry_checked(&mut self, addr: u64, heap_value: u64) -> ShadowEntry {
-        let seq = self.next_seq + 1;
-        match self.shadow.entry(addr) {
-            MapEntry::Occupied(mut e) => {
-                let cur = *e.get();
-                if cur.value != heap_value {
-                    if self.bypass_reported.insert(addr) {
-                        self.runtime_violations.push(Violation::BypassedWrite {
-                            addr,
-                            heap_value,
-                            shadow_value: cur.value,
-                        });
-                    }
-                    let fresh = ShadowEntry {
-                        seq,
-                        writer: Writer::Env,
-                        value: heap_value,
-                    };
-                    e.insert(fresh);
-                    self.next_seq = seq;
-                    fresh
-                } else {
-                    cur
-                }
-            }
-            MapEntry::Vacant(e) => {
-                let fresh = ShadowEntry {
-                    seq,
-                    writer: Writer::Env,
-                    value: heap_value,
-                };
-                e.insert(fresh);
-                self.next_seq = seq;
-                fresh
-            }
+        let slot = self.shadow.slot(addr);
+        let cur = *slot;
+        if cur.seq != 0 && cur.value == heap_value {
+            return cur;
         }
+        if cur.seq != 0 && self.bypass_reported.insert(addr) {
+            self.runtime_violations.push(Violation::BypassedWrite {
+                addr,
+                heap_value,
+                shadow_value: cur.value,
+            });
+        }
+        self.next_seq += 1;
+        let fresh = ShadowEntry {
+            seq: self.next_seq,
+            writer: Writer::ENV,
+            value: heap_value,
+        };
+        *slot = fresh;
+        fresh
+    }
+
+    /// Install a new version of `addr` written by `writer` (after
+    /// checking the current one against `heap_value`, the heap word it
+    /// replaces). Returns the displaced entry and the new version.
+    fn install(
+        &mut self,
+        addr: u64,
+        heap_value: u64,
+        writer: Writer,
+        value: u64,
+    ) -> (ShadowEntry, u64) {
+        let prev = self.entry_checked(addr, heap_value);
+        let seq = self.fresh_seq();
+        *self.shadow.slot(addr) = ShadowEntry { seq, writer, value };
+        (prev, seq)
     }
 }
 
@@ -429,20 +492,14 @@ pub(crate) fn begin_attempt(vs: &VerifyState, vtx: &mut VerifyTxn) {
     vtx.reads.clear();
     vtx.writes.clear();
     vtx.shadow_undo.clear();
-    vtx.line_reads.clear();
+    vtx.line_heads.clear();
     vtx.released_lines.clear();
     vtx.release_violations.clear();
 }
 
-fn make_pending(
-    inner: &mut VerifyInner,
-    vtx: &VerifyTxn,
-    addr: WordAddr,
-    heap: &TmHeap,
-) -> (u64, PendingRead) {
+fn make_pending(inner: &mut VerifyInner, addr: WordAddr, heap: &TmHeap) -> (u64, PendingRead) {
     let value = heap.raw_load(addr);
     let entry = inner.entry_checked(addr.0, value);
-    let _ = vtx; // provenance lives in the entry; vtx is the eventual sink
     (
         value,
         PendingRead {
@@ -450,6 +507,7 @@ fn make_pending(
                 addr: addr.0,
                 seq: entry.seq,
                 writer: entry.writer,
+                prev_same_line: NO_READ,
                 released: false,
             },
             line: addr.line().0,
@@ -465,9 +523,7 @@ pub(crate) fn read_record(
     heap: &TmHeap,
     addr: WordAddr,
 ) -> u64 {
-    let mut inner = vs.inner.lock();
-    let (value, pending) = make_pending(&mut inner, vtx, addr, heap);
-    drop(inner);
+    let (value, pending) = make_pending(&mut vs.inner.lock(), addr, heap);
     confirm_read(vtx, pending);
     value
 }
@@ -475,31 +531,25 @@ pub(crate) fn read_record(
 /// Transactional read whose observation is only tentative: the STM
 /// read barrier still re-validates the lock word after the load, and
 /// only a read that survives that recheck reaches the application.
-pub(crate) fn read_pending(
-    vs: &VerifyState,
-    vtx: &mut VerifyTxn,
-    heap: &TmHeap,
-    addr: WordAddr,
-) -> (u64, PendingRead) {
-    let mut inner = vs.inner.lock();
-    let r = make_pending(&mut inner, vtx, addr, heap);
-    drop(inner);
-    r
+pub(crate) fn read_pending(vs: &VerifyState, heap: &TmHeap, addr: WordAddr) -> (u64, PendingRead) {
+    make_pending(&mut vs.inner.lock(), addr, heap)
 }
 
 /// Record a read observation produced by [`read_pending`] once the
 /// barrier's post-load validation has passed.
 pub(crate) fn confirm_read(vtx: &mut VerifyTxn, pending: PendingRead) {
     // A fresh read re-arms an early-released line.
-    vtx.released_lines.remove(&pending.line);
-    let idx = vtx.reads.len();
-    vtx.reads.push(pending.obs);
-    vtx.line_reads.entry(pending.line).or_default().push(idx);
+    if !vtx.released_lines.is_empty() {
+        vtx.released_lines.remove(&pending.line);
+    }
+    let idx = u32::try_from(vtx.reads.len()).expect("read log exceeds u32 indices");
+    let mut obs = pending.obs;
+    obs.prev_same_line = vtx.line_heads.insert(pending.line, idx).unwrap_or(NO_READ);
+    vtx.reads.push(obs);
 }
 
 fn note_write_line(vtx: &mut VerifyTxn, addr: WordAddr) {
-    let line = addr.line().0;
-    if vtx.released_lines.remove(&line) {
+    if !vtx.released_lines.is_empty() && vtx.released_lines.remove(&addr.line().0) {
         vtx.release_violations.push(addr.0);
     }
 }
@@ -518,19 +568,10 @@ pub(crate) fn write_eager(
     note_write_line(vtx, addr);
     let mut inner = vs.inner.lock();
     let prev_value = heap.raw_load(addr);
-    let prev = inner.entry_checked(addr.0, prev_value);
-    vtx.shadow_undo.push((addr.0, prev));
-    let seq = inner.fresh_seq();
-    inner.shadow.insert(
-        addr.0,
-        ShadowEntry {
-            seq,
-            writer: Writer::Attempt(vtx.attempt),
-            value,
-        },
-    );
+    let (prev, seq) = inner.install(addr.0, prev_value, Writer::attempt(vtx.attempt), value);
     heap.raw_store(addr, value);
     drop(inner);
+    vtx.shadow_undo.push((addr.0, prev));
     vtx.writes.push(WriteObs { addr: addr.0, seq });
     prev_value
 }
@@ -546,16 +587,7 @@ pub(crate) fn write_commit(
     note_write_line(vtx, addr);
     let mut inner = vs.inner.lock();
     let prev_value = heap.raw_load(addr);
-    inner.entry_checked(addr.0, prev_value);
-    let seq = inner.fresh_seq();
-    inner.shadow.insert(
-        addr.0,
-        ShadowEntry {
-            seq,
-            writer: Writer::Attempt(vtx.attempt),
-            value,
-        },
-    );
+    let (_, seq) = inner.install(addr.0, prev_value, Writer::attempt(vtx.attempt), value);
     heap.raw_store(addr, value);
     drop(inner);
     vtx.writes.push(WriteObs { addr: addr.0, seq });
@@ -567,16 +599,7 @@ pub(crate) fn write_commit(
 pub(crate) fn write_nontxn(vs: &VerifyState, heap: &TmHeap, addr: WordAddr, value: u64) {
     let mut inner = vs.inner.lock();
     let prev_value = heap.raw_load(addr);
-    inner.entry_checked(addr.0, prev_value);
-    let seq = inner.fresh_seq();
-    inner.shadow.insert(
-        addr.0,
-        ShadowEntry {
-            seq,
-            writer: Writer::Env,
-            value,
-        },
-    );
+    inner.install(addr.0, prev_value, Writer::ENV, value);
     heap.raw_store(addr, value);
 }
 
@@ -584,21 +607,30 @@ pub(crate) fn write_nontxn(vs: &VerifyState, heap: &TmHeap, addr: WordAddr, valu
 /// line stop participating in conflict edges, and the line is armed
 /// for the write-without-re-read audit.
 pub(crate) fn release_line(vtx: &mut VerifyTxn, line: LineAddr) {
-    if let Some(idxs) = vtx.line_reads.remove(&line.0) {
-        for i in idxs {
-            vtx.reads[i].released = true;
-        }
+    let mut next = vtx.line_heads.remove(&line.0).unwrap_or(NO_READ);
+    while next != NO_READ {
+        let obs = &mut vtx.reads[next as usize];
+        obs.released = true;
+        next = obs.prev_same_line;
     }
     vtx.released_lines.insert(line.0);
 }
 
-/// Check an attempt's read log for two observations of the same word
-/// at different versions (own writes and released lines excluded).
-fn unstable_reads(vtx: &VerifyTxn, tid: usize, committed: bool) -> Vec<Violation> {
-    let mut first_seen: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
-    for obs in &vtx.reads {
-        if obs.released || obs.writer == Writer::Attempt(vtx.attempt) {
+/// Check one attempt's read log for two observations of the same word
+/// at different versions (own writes and released lines excluded),
+/// appending an [`Violation::UnstableRead`] per mismatch. `first_seen`
+/// is scratch space, cleared here.
+fn check_stable(
+    reads: &[ReadObs],
+    txn: TxnId,
+    committed: bool,
+    first_seen: &mut FxHashMap<u64, u64>,
+    out: &mut Vec<Violation>,
+) {
+    first_seen.clear();
+    let own = Writer::attempt(txn.attempt);
+    for obs in reads {
+        if obs.released || obs.writer == own {
             continue;
         }
         match first_seen.entry(obs.addr) {
@@ -608,10 +640,7 @@ fn unstable_reads(vtx: &VerifyTxn, tid: usize, committed: bool) -> Vec<Violation
             MapEntry::Occupied(e) => {
                 if *e.get() != obs.seq {
                     out.push(Violation::UnstableRead {
-                        txn: TxnId {
-                            attempt: vtx.attempt,
-                            tid,
-                        },
+                        txn,
                         addr: obs.addr,
                         first_seq: *e.get(),
                         second_seq: obs.seq,
@@ -621,20 +650,22 @@ fn unstable_reads(vtx: &VerifyTxn, tid: usize, committed: bool) -> Vec<Violation
             }
         }
     }
-    out
 }
 
 /// Harvest a committed attempt's log into the global record.
 pub(crate) fn commit_attempt(vs: &VerifyState, vtx: &mut VerifyTxn, tid: usize) {
+    // Copied out at their exact length: the attempt's buffers keep
+    // their capacity for the thread's next attempt, and the record of
+    // committed logs holds no slack.
     let committed = CommittedTxn {
         attempt: vtx.attempt,
         tid,
-        reads: std::mem::take(&mut vtx.reads),
-        writes: std::mem::take(&mut vtx.writes),
+        reads: vtx.reads.as_slice().into(),
+        writes: vtx.writes.as_slice().into(),
         release_violations: std::mem::take(&mut vtx.release_violations),
     };
     vtx.shadow_undo.clear();
-    vtx.line_reads.clear();
+    vtx.line_heads.clear();
     vtx.released_lines.clear();
     vs.inner.lock().committed.push(committed);
 }
@@ -651,17 +682,28 @@ pub(crate) fn rollback_restore(
     tid: usize,
     system: SystemKind,
 ) {
+    let mut zombies = Vec::new();
+    if matches!(system, SystemKind::EagerStm | SystemKind::LazyStm) {
+        let txn = TxnId {
+            attempt: vtx.attempt,
+            tid,
+        };
+        check_stable(
+            &vtx.reads,
+            txn,
+            false,
+            &mut FxHashMap::default(),
+            &mut zombies,
+        );
+    }
     let mut inner = vs.inner.lock();
     debug_assert_eq!(undo.len(), vtx.shadow_undo.len());
     for (&(addr, value), &(saddr, sentry)) in undo.iter().rev().zip(vtx.shadow_undo.iter().rev()) {
         debug_assert_eq!(addr, saddr);
         heap.raw_store(WordAddr(addr), value);
-        inner.shadow.insert(saddr, sentry);
+        *inner.shadow.slot(saddr) = sentry;
     }
-    if matches!(system, SystemKind::EagerStm | SystemKind::LazyStm) {
-        let zombies = unstable_reads(vtx, tid, false);
-        inner.runtime_violations.extend(zombies);
-    }
+    inner.runtime_violations.append(&mut zombies);
     drop(inner);
     vtx.shadow_undo.clear();
 }
@@ -718,6 +760,7 @@ pub(crate) fn finalize(vs: &VerifyState, system: SystemKind) -> VerifyReport {
     let mut inner = vs.inner.lock();
     let committed = std::mem::take(&mut inner.committed);
     let mut violations = std::mem::take(&mut inner.runtime_violations);
+    let attempts = inner.next_attempt as usize;
     drop(inner);
 
     let ids: Vec<TxnId> = committed
@@ -727,32 +770,35 @@ pub(crate) fn finalize(vs: &VerifyState, system: SystemKind) -> VerifyReport {
             tid: c.tid,
         })
         .collect();
-    let node_of: HashMap<u64, u32> = committed
+    // Attempt id -> graph node; ids are dense from 1, and attempts that
+    // never committed map to `NO_NODE`.
+    const NO_NODE: u32 = u32::MAX;
+    let mut node_of = vec![NO_NODE; attempts + 1];
+    for (i, c) in committed.iter().enumerate() {
+        node_of[c.attempt as usize] = i as u32;
+    }
+
+    // Every committed install as (addr, seq, node), in address then
+    // install order: one address's installs are adjacent.
+    let mut installs: Vec<(u64, u64, u32)> = committed
         .iter()
         .enumerate()
-        .map(|(i, c)| (c.attempt, i as u32))
+        .flat_map(|(i, c)| c.writes.iter().map(move |w| (w.addr, w.seq, i as u32)))
         .collect();
-
-    // Committed installs per address, in install order.
-    let mut installs: HashMap<u64, Vec<(u64, u32)>> = HashMap::new();
-    for (i, c) in committed.iter().enumerate() {
-        for w in &c.writes {
-            installs.entry(w.addr).or_default().push((w.seq, i as u32));
-        }
-    }
-    for v in installs.values_mut() {
-        v.sort_unstable();
+    installs.sort_unstable();
+    // addr -> its run `lo..hi` in `installs`.
+    let mut runs: FxHashMap<u64, (u32, u32)> = FxHashMap::default();
+    for (k, &(addr, _, _)) in installs.iter().enumerate() {
+        runs.entry(addr).or_insert((k as u32, 0)).1 = k as u32 + 1;
     }
 
+    // `edges` and `flat` (the same edges as node pairs) stay parallel.
     let mut edges: Vec<EdgeWitness> = Vec::new();
-    let mut edge_set: HashSet<(u32, u32)> = HashSet::new();
-    let push_edge = |edges: &mut Vec<EdgeWitness>,
-                     edge_set: &mut HashSet<(u32, u32)>,
-                     from: u32,
-                     to: u32,
-                     kind: EdgeKind,
-                     addr: u64| {
+    let mut flat: Vec<(u32, u32)> = Vec::new();
+    let mut edge_set: FxHashSet<(u32, u32)> = FxHashSet::default();
+    let mut push_edge = |from: u32, to: u32, kind: EdgeKind, addr: u64| {
         if from != to && edge_set.insert((from, to)) {
+            flat.push((from, to));
             edges.push(EdgeWitness {
                 from: ids[from as usize],
                 to: ids[to as usize],
@@ -763,98 +809,55 @@ pub(crate) fn finalize(vs: &VerifyState, system: SystemKind) -> VerifyReport {
     };
 
     // WW: consecutive committed installs on each address.
-    for (addr, list) in &installs {
-        for pair in list.windows(2) {
-            push_edge(
-                &mut edges,
-                &mut edge_set,
-                pair[0].1,
-                pair[1].1,
-                EdgeKind::WriteWrite,
-                *addr,
-            );
+    for pair in installs.windows(2) {
+        let ((a0, _, n0), (a1, _, n1)) = (pair[0], pair[1]);
+        if a0 == a1 {
+            push_edge(n0, n1, EdgeKind::WriteWrite, a0);
         }
     }
 
     // WR / RW / dirty reads / committed-attempt stability.
+    let mut first_seen: FxHashMap<u64, u64> = FxHashMap::default();
     for (i, c) in committed.iter().enumerate() {
         let me = i as u32;
-        let mut first_seen: HashMap<u64, u64> = HashMap::new();
+        let own = Writer::attempt(c.attempt);
         for obs in &c.reads {
-            if obs.released {
-                continue;
+            if obs.released || obs.writer == own {
+                continue; // released, or own write read back
             }
-            if obs.writer == Writer::Attempt(c.attempt) {
-                continue; // own write read back
-            }
-            if let Writer::Attempt(a) = obs.writer {
-                match node_of.get(&a) {
-                    Some(&w) => push_edge(
-                        &mut edges,
-                        &mut edge_set,
-                        w,
-                        me,
-                        EdgeKind::WriteRead,
-                        obs.addr,
-                    ),
-                    None => violations.push(Violation::DirtyRead {
+            if let Some(a) = obs.writer.attempt_id() {
+                match node_of[a as usize] {
+                    NO_NODE => violations.push(Violation::DirtyRead {
                         reader: ids[i],
                         addr: obs.addr,
                         writer_attempt: a,
                     }),
+                    w => push_edge(w, me, EdgeKind::WriteRead, obs.addr),
                 }
             }
-            if let Some(list) = installs.get(&obs.addr) {
-                // First committed install strictly after what we read.
-                let pos = list.partition_point(|&(s, _)| s <= obs.seq);
-                if let Some(&(_, w2)) = list.get(pos) {
-                    push_edge(
-                        &mut edges,
-                        &mut edge_set,
-                        me,
-                        w2,
-                        EdgeKind::ReadWrite,
-                        obs.addr,
-                    );
-                }
-            }
-            match first_seen.entry(obs.addr) {
-                MapEntry::Vacant(e) => {
-                    e.insert(obs.seq);
-                }
-                MapEntry::Occupied(e) => {
-                    if *e.get() != obs.seq {
-                        violations.push(Violation::UnstableRead {
-                            txn: ids[i],
-                            addr: obs.addr,
-                            first_seq: *e.get(),
-                            second_seq: obs.seq,
-                            committed: true,
-                        });
-                    }
+            // First committed install of this address strictly after
+            // what we read.
+            if let Some(&(lo, hi)) = runs.get(&obs.addr) {
+                let run = &installs[lo as usize..hi as usize];
+                let pos = run.partition_point(|&(_, s, _)| s <= obs.seq);
+                if let Some(&(_, _, w2)) = run.get(pos) {
+                    push_edge(me, w2, EdgeKind::ReadWrite, obs.addr);
                 }
             }
         }
+        check_stable(&c.reads, ids[i], true, &mut first_seen, &mut violations);
         for &addr in &c.release_violations {
             violations.push(Violation::EarlyReleaseWrite { txn: ids[i], addr });
         }
     }
 
     // Cycle detection over the committed-transaction graph.
-    let flat: Vec<(u32, u32)> = edges
-        .iter()
-        .map(|e| (node_of[&e.from.attempt], node_of[&e.to.attempt]))
-        .collect();
     if let Some(cycle) = find_cycle(committed.len(), &flat) {
         let mut witness = Vec::new();
         for k in 0..cycle.len() {
-            let from = cycle[k];
-            let to = cycle[(k + 1) % cycle.len()];
-            if let Some(e) = edges
-                .iter()
-                .find(|e| node_of[&e.from.attempt] == from && node_of[&e.to.attempt] == to)
-            {
-                witness.push(*e);
+            let hop = (cycle[k], cycle[(k + 1) % cycle.len()]);
+            if let Some(e) = flat.iter().position(|&f| f == hop) {
+                witness.push(edges[e]);
             }
         }
         violations.push(Violation::SerializationCycle {
@@ -927,12 +930,75 @@ mod tests {
         begin_attempt(&vs, &mut vtx);
         assert_eq!(read_record(&vs, &mut vtx, &heap, addr), 99);
         commit_attempt(&vs, &mut vtx, 0);
+        // A second divergence of the same word is not reported again.
+        heap.raw_store(addr, 100);
+        begin_attempt(&vs, &mut vtx);
+        assert_eq!(read_record(&vs, &mut vtx, &heap, addr), 100);
+        commit_attempt(&vs, &mut vtx, 0);
         let report = finalize(&vs, SystemKind::EagerStm);
-        assert_eq!(report.cost.txns_checked, 2);
-        assert!(report
+        assert_eq!(report.cost.txns_checked, 3);
+        let bypasses: Vec<&Violation> = report
             .violations
             .iter()
-            .any(|v| matches!(v, Violation::BypassedWrite { heap_value: 99, .. })));
+            .filter(|v| matches!(v, Violation::BypassedWrite { .. }))
+            .collect();
+        assert_eq!(bypasses.len(), 1, "report: {report}");
+        assert!(matches!(
+            bypasses[0],
+            Violation::BypassedWrite {
+                heap_value: 99,
+                shadow_value: 8,
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn first_touch_of_zero_word_in_allocated_page_seeds_env_entry() {
+        let heap = TmHeap::new();
+        let touched = heap.alloc_cell(7u64).addr();
+        let zero = heap.alloc_cell(0u64).addr();
+        assert_eq!(
+            touched.0 >> SHADOW_PAGE_BITS,
+            zero.0 >> SHADOW_PAGE_BITS,
+            "both words must share a shadow page"
+        );
+        let vs = VerifyState::default();
+        let mut vtx = VerifyTxn::default();
+        begin_attempt(&vs, &mut vtx);
+        read_record(&vs, &mut vtx, &heap, touched);
+        // The page now exists and `zero`'s slot is all-zero, which
+        // matches the heap value 0: it must still count as untouched.
+        assert_eq!(read_record(&vs, &mut vtx, &heap, zero), 0);
+        let entry = *vs.inner.lock().shadow.slot(zero.0);
+        assert_ne!(entry.seq, 0);
+        assert_eq!(entry.writer, Writer::ENV);
+        assert_eq!(entry.value, 0);
+        assert_eq!(vtx.reads[1].seq, entry.seq);
+        commit_attempt(&vs, &mut vtx, 0);
+        let report = finalize(&vs, SystemKind::LazyStm);
+        assert!(report.is_clean(), "report: {report}");
+    }
+
+    #[test]
+    fn words_beyond_the_first_heap_chunk_are_shadowed() {
+        let heap = TmHeap::new();
+        heap.alloc_words(1 << 20);
+        let far = heap.alloc_cell(11u64).addr();
+        assert!(far.0 >= 1 << 20);
+        let vs = VerifyState::default();
+        let mut t1 = VerifyTxn::default();
+        let mut t2 = VerifyTxn::default();
+        begin_attempt(&vs, &mut t1);
+        assert_eq!(read_record(&vs, &mut t1, &heap, far), 11);
+        write_commit(&vs, &mut t1, &heap, far, 12);
+        commit_attempt(&vs, &mut t1, 0);
+        begin_attempt(&vs, &mut t2);
+        assert_eq!(read_record(&vs, &mut t2, &heap, far), 12);
+        commit_attempt(&vs, &mut t2, 1);
+        let report = finalize(&vs, SystemKind::LazyStm);
+        assert!(report.is_clean(), "report: {report}");
+        assert_eq!(report.cost.edges, 1, "T1 -WR-> T2 on the far word");
     }
 
     #[test]
@@ -986,6 +1052,84 @@ mod tests {
                 .any(|v| matches!(v, Violation::SerializationCycle { .. })),
             "report: {report}"
         );
+    }
+
+    /// Two transactions read every one of `words` fresh cells, then both
+    /// install all of them: a lost update on each address.
+    fn planted_lost_updates(words: u64) -> VerifyReport {
+        let heap = TmHeap::new();
+        let base = heap.alloc_words(words);
+        let vs = VerifyState::default();
+        let mut t1 = VerifyTxn::default();
+        let mut t2 = VerifyTxn::default();
+        begin_attempt(&vs, &mut t1);
+        begin_attempt(&vs, &mut t2);
+        for k in 0..words {
+            read_record(&vs, &mut t1, &heap, base.offset(k));
+            read_record(&vs, &mut t2, &heap, base.offset(k));
+        }
+        for k in 0..words {
+            write_commit(&vs, &mut t2, &heap, base.offset(k), 2);
+        }
+        commit_attempt(&vs, &mut t2, 1);
+        for k in 0..words {
+            write_commit(&vs, &mut t1, &heap, base.offset(k), 1);
+        }
+        commit_attempt(&vs, &mut t1, 0);
+        let mut report = finalize(&vs, SystemKind::LazyStm);
+        // Host time is the one field that is not a function of the run.
+        report.cost.wall = std::time::Duration::ZERO;
+        report
+    }
+
+    #[test]
+    fn report_is_a_pure_function_of_the_run() {
+        let first = planted_lost_updates(16);
+        assert!(
+            first
+                .violations
+                .iter()
+                .any(|v| matches!(v, Violation::SerializationCycle { .. })),
+            "report: {first}"
+        );
+        for _ in 0..4 {
+            assert_eq!(planted_lost_updates(16).to_string(), first.to_string());
+        }
+    }
+
+    #[test]
+    fn early_release_chain_marks_every_read_of_the_line() {
+        let heap = TmHeap::new();
+        let word = heap.alloc_words_line_padded(2);
+        let sibling = word.offset(1);
+        assert_eq!(word.line(), sibling.line());
+        let vs = VerifyState::default();
+        let mut vtx = VerifyTxn::default();
+        begin_attempt(&vs, &mut vtx);
+        read_record(&vs, &mut vtx, &heap, word);
+        read_record(&vs, &mut vtx, &heap, word);
+        read_record(&vs, &mut vtx, &heap, sibling);
+        release_line(&mut vtx, word.line());
+        assert!(vtx.reads.iter().all(|r| r.released));
+        // Blind write to the released line.
+        write_commit(&vs, &mut vtx, &heap, sibling, 5);
+        // Re-read, then release again: the new read joins a fresh chain.
+        read_record(&vs, &mut vtx, &heap, word);
+        assert!(!vtx.reads[3].released);
+        release_line(&mut vtx, word.line());
+        assert!(vtx.reads.iter().all(|r| r.released));
+        commit_attempt(&vs, &mut vtx, 0);
+        let report = finalize(&vs, SystemKind::LazyStm);
+        let misuses: Vec<&Violation> = report
+            .violations
+            .iter()
+            .filter(|v| matches!(v, Violation::EarlyReleaseWrite { .. }))
+            .collect();
+        assert_eq!(misuses.len(), 1, "report: {report}");
+        assert!(matches!(
+            misuses[0],
+            Violation::EarlyReleaseWrite { addr, .. } if *addr == sibling.0
+        ));
     }
 
     #[test]

@@ -13,7 +13,10 @@ fn main() {
         sessions: args.get_u32("t", 4096),
         seed: args.get_u32("seed", 1),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("vacation: {e}");
+        std::process::exit(2)
+    });
     let report = vacation::run(&params, cfg);
     println!("{report}");
     if !report.verified {

@@ -10,7 +10,10 @@ fn main() {
         init_points: args.get_u32("points", 640),
         seed: args.get_u32("seed", 9),
     };
-    let cfg = tm_config_from_args(&args);
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("yada: {e}");
+        std::process::exit(2)
+    });
     let report = yada::run(&params, cfg);
     println!("{report}");
     if !report.verified {

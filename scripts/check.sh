@@ -31,4 +31,8 @@ cargo run -q --release -p bench --bin table4 -- --smoke
 echo "==> table4 --check"
 cargo run -q --release -p bench --bin table4 -- --check
 
+echo "==> perfbench observed-2t correctness pass (sanitizer + pinned fingerprints)"
+python3 perfbench/run.py --workload observed-2t --seconds 1 --trace 0 | tail -n 1 | tee /dev/stderr \
+  | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
+
 echo "check.sh: all gates passed"
