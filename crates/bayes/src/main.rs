@@ -5,6 +5,10 @@ use stamp_util::{tm_config_from_args, Args, BayesParams};
 
 fn main() {
     let args = Args::from_env();
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("bayes: {e}");
+        std::process::exit(2)
+    });
     let params = BayesParams {
         vars: args.get_u32("v", 32),
         records: args.get_u32("r", 1024),
@@ -15,10 +19,6 @@ fn main() {
         seed: args.get_u32("s", 1),
         adtree: !args.get_bool("scan-backend"),
     };
-    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("bayes: {e}");
-        std::process::exit(2)
-    });
     let report = bayes::run(&params, cfg);
     println!("{report}");
     if !report.verified {

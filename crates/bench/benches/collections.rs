@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks of the transactional data structures
-//! (host wall clock, single-threaded, lazy STM vs uninstrumented
-//! setup access).
+//! (host wall clock, single-threaded, lazy STM under the apps'
+//! deterministic scheduler vs uninstrumented setup access).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use tm::{SystemKind, TmConfig, TmRuntime};
@@ -21,7 +21,7 @@ fn bench_rbtree(c: &mut Criterion) {
     });
     group.bench_function("lazy_stm_txn", |b| {
         b.iter(|| {
-            let rt = TmRuntime::new(TmConfig::new(SystemKind::LazyStm, 1).simulate(false));
+            let rt = TmRuntime::new(TmConfig::new(SystemKind::LazyStm, 1));
             let t = {
                 let mut m = SetupMem::new(rt.heap());
                 TmRbTree::create(&mut m).unwrap()
@@ -43,7 +43,7 @@ fn bench_hashtable(c: &mut Criterion) {
     let mut group = c.benchmark_group("hashtable_insert_get_1k");
     group.bench_function("lazy_stm_txn", |b| {
         b.iter(|| {
-            let rt = TmRuntime::new(TmConfig::new(SystemKind::LazyStm, 1).simulate(false));
+            let rt = TmRuntime::new(TmConfig::new(SystemKind::LazyStm, 1));
             let t = {
                 let mut m = SetupMem::new(rt.heap());
                 TmHashtable::create(&mut m, 1024).unwrap()

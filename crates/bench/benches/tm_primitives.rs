@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the TM engine's primitives: transaction
 //! throughput per system (host wall clock — these measure the *engine*,
-//! not the modeled machine).
+//! not the modeled machine). Every runtime here runs under the same
+//! deterministic scheduler as the apps.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tm::{SystemKind, TmConfig, TmRuntime};
@@ -9,9 +10,9 @@ fn bench_counter_txns(c: &mut Criterion) {
     let mut group = c.benchmark_group("counter_txn");
     for sys in SystemKind::ALL_TM {
         group.bench_with_input(BenchmarkId::from_parameter(sys.label()), &sys, |b, &sys| {
-            // Native mode (no simulation scheduling), single thread:
-            // measures raw barrier + commit overhead.
-            let rt = TmRuntime::new(TmConfig::new(sys, 1).simulate(false));
+            // Single thread: barrier, commit and clock-publish overhead
+            // with no handoffs or aborts.
+            let rt = TmRuntime::new(TmConfig::new(sys, 1));
             let cell = rt.heap().alloc_cell(0u64);
             b.iter(|| {
                 rt.run(|ctx| {
@@ -37,7 +38,7 @@ fn bench_read_heavy_txn(c: &mut Criterion) {
         SystemKind::LazyHybrid,
     ] {
         group.bench_with_input(BenchmarkId::from_parameter(sys.label()), &sys, |b, &sys| {
-            let rt = TmRuntime::new(TmConfig::new(sys, 1).simulate(false));
+            let rt = TmRuntime::new(TmConfig::new(sys, 1));
             let arr = rt.heap().alloc_array::<u64>(64, 1);
             b.iter(|| {
                 rt.run(|ctx| {

@@ -8,7 +8,7 @@
 
 use bench::{harness_flags, run_variant, selected_variants};
 use stamp_util::Args;
-use tm::{BackoffPolicy, SystemKind, TmConfig};
+use tm::{CmPolicy, SystemKind, TmConfig};
 
 fn main() {
     let args = Args::from_env();
@@ -25,15 +25,12 @@ fn main() {
             let none = run_variant(
                 v,
                 scale,
-                TmConfig::new(sys, threads).backoff(BackoffPolicy::None),
+                TmConfig::new(sys, threads).cm(CmPolicy::Immediate),
             );
             let blin = run_variant(
                 v,
                 scale,
-                TmConfig::new(sys, threads).backoff(BackoffPolicy::RandomizedLinear {
-                    after: 3,
-                    base: 200,
-                }),
+                TmConfig::new(sys, threads).cm(CmPolicy::DEFAULT_LINEAR),
             );
             assert!(none.verified && blin.verified, "{} under {sys}", v.name);
             println!(

@@ -5,6 +5,10 @@ use stamp_util::{tm_config_from_args, Args, KmeansParams};
 
 fn main() {
     let args = Args::from_env();
+    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
+        eprintln!("kmeans: {e}");
+        std::process::exit(2)
+    });
     let params = KmeansParams {
         min_clusters: args.get_u32("m", 15),
         max_clusters: args.get_u32("n", 15),
@@ -14,10 +18,6 @@ fn main() {
         centers: args.get_u32("centers", 16),
         seed: args.get_u32("s", 7),
     };
-    let cfg = tm_config_from_args(&args).unwrap_or_else(|e| {
-        eprintln!("kmeans: {e}");
-        std::process::exit(2)
-    });
     let report = kmeans::run(&params, cfg);
     println!("{report}");
     if !report.verified {

@@ -3,6 +3,7 @@
 //! (`-v 32`, `--threads 4`).
 
 use std::collections::HashMap;
+use std::ops::RangeInclusive;
 
 /// Parsed command-line flags.
 #[derive(Debug, Clone, Default)]
@@ -67,19 +68,42 @@ impl Args {
         self.flags.get(key).map(String::as_str)
     }
 
-    /// Integer flag with a default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get(key)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("flag -{key} expects an integer, got {v:?}"))
-            })
-            .unwrap_or(default)
+    /// Integer flag with a default (the default is not range-checked).
+    /// A value that is not an integer in `range` is an error naming the
+    /// flag and the accepted range.
+    pub fn get_u64_in(
+        &self,
+        key: &str,
+        default: u64,
+        range: RangeInclusive<u64>,
+    ) -> Result<u64, String> {
+        let Some(v) = self.get(key) else {
+            return Ok(default);
+        };
+        match v.parse() {
+            Ok(n) if range.contains(&n) => Ok(n),
+            _ => {
+                let dashes = if key.len() == 1 { "-" } else { "--" };
+                Err(format!(
+                    "flag {dashes}{key} expects an integer in {}..={}, got {v:?}",
+                    range.start(),
+                    range.end()
+                ))
+            }
+        }
     }
 
-    /// `u32` flag with a default.
+    /// Integer flag with a default; panics on a malformed value.
+    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
+        self.get_u64_in(key, default, 0..=u64::MAX)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// `u32` flag with a default; panics on a malformed value or one
+    /// above `u32::MAX`.
     pub fn get_u32(&self, key: &str, default: u32) -> u32 {
-        self.get_u64(key, default as u64) as u32
+        self.get_u64_in(key, default.into(), 0..=u32::MAX.into())
+            .unwrap_or_else(|e| panic!("{e}")) as u32
     }
 
     /// Float flag with a default.
@@ -151,6 +175,13 @@ mod tests {
     fn positionals_collected() {
         let a = parse("-a1 input.file other");
         assert_eq!(a.positional(), ["input.file", "other"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "flag -v expects an integer in 0..=4294967295, got \"4294967328\"")]
+    fn u32_flag_rejects_values_above_u32_max() {
+        // 2^32 + 32 must not wrap to 32.
+        parse("-v 4294967328").get_u32("v", 0);
     }
 
     #[test]

@@ -21,8 +21,10 @@ use crate::cli::Args;
 ///   (both are zero-simulated-cost observers); the CLI summary then
 ///   appends the cycle breakdown and hottest conflict lines.
 ///
-/// An unknown `--system`, `--sched` or `--granularity` value is an
-/// error naming the flag and its accepted values.
+/// An unknown `--system`, `--sched` or `--granularity` value, or a
+/// `--threads` (1..=32), `--quantum`, `--seed` or `--sched-seed` value
+/// that is not an integer in range, is an error naming the flag and its
+/// accepted values.
 pub fn tm_config_from_args(args: &Args) -> Result<TmConfig, String> {
     let system = match args.get("system") {
         Some(s) => SystemKind::parse(s).ok_or_else(|| {
@@ -33,15 +35,15 @@ pub fn tm_config_from_args(args: &Args) -> Result<TmConfig, String> {
         })?,
         None => SystemKind::LazyStm,
     };
-    let threads = args.get_u64("threads", 4) as usize;
+    let threads = args.get_u64_in("threads", 4, 1..=32)? as usize;
     let mut cfg = if system == SystemKind::Sequential {
         TmConfig::sequential()
     } else {
         TmConfig::new(system, threads)
     };
-    let quantum = args.get_u64("quantum", cfg.quantum);
-    let seed = args.get_u64("seed", cfg.seed);
-    let sched_seed = args.get_u64("sched-seed", cfg.sched_seed);
+    let quantum = args.get_u64_in("quantum", cfg.quantum, 0..=u64::MAX)?;
+    let seed = args.get_u64_in("seed", cfg.seed, 0..=u64::MAX)?;
+    let sched_seed = args.get_u64_in("sched-seed", cfg.sched_seed, 0..=u64::MAX)?;
     cfg = cfg.quantum(quantum).seed(seed).sched_seed(sched_seed);
     if let Some(mode) = args.get("sched") {
         cfg = cfg.sched(
@@ -124,6 +126,45 @@ mod tests {
         let err = tm_config_from_args(&parse("--sched fifo")).unwrap_err();
         assert!(err.contains("--sched \"fifo\""), "{err}");
         assert!(err.contains("minclock|pct"), "{err}");
+    }
+
+    #[test]
+    fn bad_threads_is_an_error() {
+        for bad in ["0", "33", "x"] {
+            let err = tm_config_from_args(&parse(&format!("--threads {bad}"))).unwrap_err();
+            assert_eq!(
+                err,
+                format!("flag --threads expects an integer in 1..=32, got \"{bad}\"")
+            );
+        }
+        assert_eq!(
+            tm_config_from_args(&parse("--threads 32")).unwrap().threads,
+            32
+        );
+    }
+
+    #[test]
+    fn bad_quantum_is_an_error() {
+        let err = tm_config_from_args(&parse("--quantum 1e3")).unwrap_err();
+        assert!(
+            err.starts_with("flag --quantum expects an integer"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn bad_seed_is_an_error() {
+        let err = tm_config_from_args(&parse("--seed -1")).unwrap_err();
+        assert!(err.starts_with("flag --seed expects an integer"), "{err}");
+    }
+
+    #[test]
+    fn bad_sched_seed_is_an_error() {
+        let err = tm_config_from_args(&parse("--sched-seed 18446744073709551616")).unwrap_err();
+        assert!(
+            err.starts_with("flag --sched-seed expects an integer"),
+            "{err}"
+        );
     }
 
     #[test]

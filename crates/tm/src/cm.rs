@@ -22,8 +22,7 @@
 //! | `adaptive` | [`CmPolicy::AdaptiveSerialize`] | ATS-style: serialize transactions when the abort EWMA spikes |
 //!
 //! With no policy configured, [`crate::TmConfig::effective_cm`] derives
-//! the paper's default for the configured system (and honors a
-//! [`crate::config::BackoffPolicy`] override), reproducing the
+//! the paper's default for the configured system, reproducing the
 //! pre-refactor retry schedules bit-for-bit: same RNG draws, same
 //! cycle charges, same eager-HTM priority promotion after
 //! `htm_priority_after` aborts.
@@ -39,7 +38,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crossbeam::utils::CachePadded;
 
-use crate::config::{BackoffPolicy, SystemKind, TmConfig};
+use crate::config::{SystemKind, TmConfig};
 use crate::sim::XorShift64;
 
 /// Cap multiplier for the linearly growing backoff windows: the window
@@ -168,26 +167,6 @@ impl CmPolicy {
             "adaptive" | "ats" | "serialize" | "adaptiveserialize" => CmPolicy::DEFAULT_ADAPTIVE,
             _ => return None,
         })
-    }
-
-    /// The policy equivalent to a legacy [`BackoffPolicy`] — used to
-    /// honor `TmConfig::backoff` overrides through the CM layer.
-    pub fn from_backoff(policy: BackoffPolicy) -> CmPolicy {
-        match policy {
-            BackoffPolicy::None => CmPolicy::Immediate,
-            BackoffPolicy::RandomizedLinear { after, base } => {
-                CmPolicy::RandomizedLinear { after, base }
-            }
-            BackoffPolicy::ExponentialRandom {
-                after,
-                base,
-                max_exp,
-            } => CmPolicy::ExponentialRandom {
-                after,
-                base,
-                max_exp,
-            },
-        }
     }
 }
 

@@ -128,33 +128,6 @@ pub enum Granularity {
     Line,
 }
 
-/// Contention-management policy applied between retries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackoffPolicy {
-    /// Restart immediately (the paper's HTM design point).
-    None,
-    /// Randomized linear backoff once a transaction has aborted at least
-    /// `after` times (the paper's STM/hybrid policy with `after == 3`).
-    RandomizedLinear {
-        /// Number of aborts before backoff engages.
-        after: u32,
-        /// Base delay in cycles; the delay is uniform in
-        /// `0..base * (retries - after + 1)`.
-        base: u64,
-    },
-    /// Randomized exponential backoff (a contention-management policy
-    /// the paper's §V-A invites evaluating): delay uniform in
-    /// `0..base * 2^min(retries - after, max_exp)`.
-    ExponentialRandom {
-        /// Number of aborts before backoff engages.
-        after: u32,
-        /// Base delay in cycles.
-        base: u64,
-        /// Cap on the exponent.
-        max_exp: u32,
-    },
-}
-
 /// How the eager HTM resolves an encounter-time conflict when the
 /// requester does not hold the priority token.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -354,9 +327,6 @@ pub struct TmConfig {
     pub system: SystemKind,
     /// Number of logical processors (threads).
     pub threads: usize,
-    /// Run under the time-ordered simulation scheduler (default). When
-    /// false, threads free-run and only wall-clock time is meaningful.
-    pub simulate: bool,
     /// Scheduler quantum in cycles: a thread may run at most this far
     /// ahead of the slowest runnable thread.
     pub quantum: u64,
@@ -374,11 +344,6 @@ pub struct TmConfig {
     /// Signature size in bits for the hybrids and the eager HTM's
     /// overflow filter (Table V: 2048).
     pub signature_bits: usize,
-    /// Backoff policy override; `None` selects the paper's policy for
-    /// the configured system. Superseded by [`TmConfig::cm`] when that
-    /// is set; kept so existing ablations can tweak just the backoff
-    /// curve of the default contention manager.
-    pub backoff: Option<BackoffPolicy>,
     /// Contention-manager override; `None` derives the paper's default
     /// policy for the configured system (see [`TmConfig::effective_cm`]).
     /// Also settable with the `TM_CM=<policy>` environment variable
@@ -468,7 +433,6 @@ impl TmConfig {
         TmConfig {
             system,
             threads,
-            simulate: true,
             quantum: 500,
             cost: CostModel::table_v(),
             lock_table_bits: 20,
@@ -476,7 +440,6 @@ impl TmConfig {
             l1: CacheGeometry::table_v_l1(),
             cache_sim: false,
             signature_bits: 2048,
-            backoff: None,
             cm: match std::env::var("TM_CM") {
                 Ok(v) if !v.is_empty() => Some(CmPolicy::parse(&v).unwrap_or_else(|| {
                     panic!(
@@ -548,12 +511,6 @@ impl TmConfig {
         self
     }
 
-    /// Enable or disable the time-ordered scheduler.
-    pub fn simulate(mut self, on: bool) -> Self {
-        self.simulate = on;
-        self
-    }
-
     /// Enable the L1 tag-array model.
     pub fn cache_sim(mut self, on: bool) -> Self {
         self.cache_sim = on;
@@ -566,14 +523,8 @@ impl TmConfig {
         self
     }
 
-    /// Override the backoff policy.
-    pub fn backoff(mut self, policy: BackoffPolicy) -> Self {
-        self.backoff = Some(policy);
-        self
-    }
-
     /// Override the contention-manager policy (takes precedence over
-    /// [`TmConfig::backoff`] and the `TM_CM` environment variable).
+    /// the `TM_CM` environment variable).
     pub fn cm(mut self, policy: CmPolicy) -> Self {
         self.cm = Some(policy);
         self
@@ -643,37 +594,25 @@ impl TmConfig {
             .or_else(|| self.effective_fault().map(|_| WatchdogConfig::default()))
     }
 
-    /// The effective backoff policy: the override if set, otherwise the
-    /// paper's policy for the configured system.
-    pub fn effective_backoff(&self) -> BackoffPolicy {
-        if let Some(p) = self.backoff {
+    /// The effective contention-manager policy: the [`TmConfig::cm`]
+    /// override if set (builder or `TM_CM` env), otherwise the paper's
+    /// policy for the configured system — immediate restart for the
+    /// HTMs (and the two non-transactional baselines), randomized
+    /// linear backoff after 3 aborts for the STMs and hybrids.
+    pub fn effective_cm(&self) -> CmPolicy {
+        if let Some(p) = self.cm {
             return p;
         }
         match self.system {
             SystemKind::Sequential
             | SystemKind::GlobalLock
             | SystemKind::LazyHtm
-            | SystemKind::EagerHtm => BackoffPolicy::None,
+            | SystemKind::EagerHtm => CmPolicy::Immediate,
             SystemKind::LazyStm
             | SystemKind::EagerStm
             | SystemKind::LazyHybrid
-            | SystemKind::EagerHybrid => BackoffPolicy::RandomizedLinear {
-                after: 3,
-                base: 200,
-            },
+            | SystemKind::EagerHybrid => CmPolicy::DEFAULT_LINEAR,
         }
-    }
-
-    /// The effective contention-manager policy: the [`TmConfig::cm`]
-    /// override if set (builder or `TM_CM` env), otherwise the policy
-    /// equivalent to [`TmConfig::effective_backoff`] — which reproduces
-    /// the paper's per-system retry schedule bit-for-bit and still
-    /// honors legacy [`TmConfig::backoff`] overrides.
-    pub fn effective_cm(&self) -> CmPolicy {
-        if let Some(p) = self.cm {
-            return p;
-        }
-        CmPolicy::from_backoff(self.effective_backoff())
     }
 }
 
@@ -717,33 +656,28 @@ mod tests {
     }
 
     #[test]
-    fn default_backoff_matches_paper() {
-        assert_eq!(
-            TmConfig::new(SystemKind::LazyHtm, 2).effective_backoff(),
-            BackoffPolicy::None
-        );
-        assert!(matches!(
-            TmConfig::new(SystemKind::LazyStm, 2).effective_backoff(),
-            BackoffPolicy::RandomizedLinear { after: 3, .. }
-        ));
-    }
-
-    #[test]
-    fn default_cm_mirrors_backoff() {
-        assert_eq!(
-            TmConfig::new(SystemKind::EagerHtm, 2).effective_cm(),
-            CmPolicy::Immediate
-        );
-        assert_eq!(
-            TmConfig::new(SystemKind::LazyStm, 2).effective_cm(),
-            CmPolicy::DEFAULT_LINEAR
-        );
-        // A legacy backoff override still flows through the CM layer...
-        let cfg = TmConfig::new(SystemKind::LazyStm, 2).backoff(BackoffPolicy::None);
-        assert_eq!(cfg.effective_cm(), CmPolicy::Immediate);
-        // ...but an explicit CM choice wins.
-        let cfg = cfg.cm(CmPolicy::DEFAULT_KARMA);
-        assert_eq!(cfg.effective_cm(), CmPolicy::DEFAULT_KARMA);
+    fn effective_cm_is_the_papers_policy_unless_overridden() {
+        use SystemKind::*;
+        for (system, policy) in [
+            (Sequential, CmPolicy::Immediate),
+            (GlobalLock, CmPolicy::Immediate),
+            (LazyHtm, CmPolicy::Immediate),
+            (EagerHtm, CmPolicy::Immediate),
+            (LazyStm, CmPolicy::DEFAULT_LINEAR),
+            (EagerStm, CmPolicy::DEFAULT_LINEAR),
+            (LazyHybrid, CmPolicy::DEFAULT_LINEAR),
+            (EagerHybrid, CmPolicy::DEFAULT_LINEAR),
+        ] {
+            // Clear any `TM_CM` override the test environment carries.
+            let cfg = TmConfig {
+                cm: None,
+                ..TmConfig::new(system, 2)
+            };
+            assert_eq!(cfg.effective_cm(), policy, "{system}");
+            // An explicit CM choice wins on every system.
+            let cfg = cfg.cm(CmPolicy::DEFAULT_KARMA);
+            assert_eq!(cfg.effective_cm(), CmPolicy::DEFAULT_KARMA, "{system}");
+        }
     }
 
     #[test]

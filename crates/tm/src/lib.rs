@@ -71,8 +71,7 @@ pub mod verify;
 pub use addr::{LineAddr, WordAddr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
 pub use cm::{AbortAction, CmCtx, CmPolicy, CmShared, ContentionManager};
 pub use config::{
-    BackoffPolicy, CacheGeometry, CostModel, Granularity, HtmConflictPolicy, MutationHook,
-    SystemKind, TmConfig,
+    CacheGeometry, CostModel, Granularity, HtmConflictPolicy, MutationHook, SystemKind, TmConfig,
 };
 pub use fault::{FaultConfig, FaultKind, SplitMix64, WatchdogConfig};
 pub use heap::{TArray, TCell, TmHeap, TmValue};

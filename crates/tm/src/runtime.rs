@@ -101,13 +101,7 @@ impl Global {
             txn_ts: (0..n)
                 .map(|_| CachePadded::new(std::sync::atomic::AtomicU64::new(u64::MAX)))
                 .collect(),
-            scheduler: Scheduler::new(
-                n,
-                config.quantum,
-                config.simulate,
-                config.sched,
-                config.sched_seed,
-            ),
+            scheduler: Scheduler::new(n, config.quantum, true, config.sched, config.sched_seed),
             cm_shared: CmShared::new(n),
             verify: config.verify.then(VerifyState::default),
             prof: config.prof.then(ProfShared::default),
@@ -135,9 +129,8 @@ pub struct RunReport {
     /// under injected faults; the aggregate alone cannot distinguish a
     /// starved thread from an idle one.
     pub thread_commits: Vec<u64>,
-    /// Scheduler advances, handoffs and wakeups (all zero when
-    /// time-ordered scheduling is off). Host-dependent through
-    /// `wakeups`, so no pinned artifact records them.
+    /// Scheduler advances, handoffs and wakeups. Host-dependent
+    /// through `wakeups`, so no pinned artifact records them.
     pub sched: SchedCounters,
     /// Sanitizer report, present when the run had `TmConfig::verify`
     /// (or `TM_VERIFY=1`) enabled.

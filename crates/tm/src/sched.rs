@@ -86,24 +86,39 @@ impl SchedMode {
 
     /// The mode selected by `TM_SCHED` (with `TM_SCHED_GAP` setting the
     /// PCT change-point gap), defaulting to [`SchedMode::MinClock`].
+    ///
+    /// # Panics
+    ///
+    /// If `TM_SCHED` is not a mode [`SchedMode::parse`] accepts, or
+    /// `TM_SCHED_GAP` is set but not a positive integer.
     pub fn from_env() -> SchedMode {
-        let mode = match std::env::var("TM_SCHED") {
-            Ok(v) if !v.is_empty() => SchedMode::parse(&v).unwrap_or_else(|| {
-                panic!("TM_SCHED={v:?} is not a scheduling mode (expected minclock|pct)")
-            }),
-            _ => SchedMode::MinClock,
+        let var = |key| std::env::var(key).ok().filter(|v| !v.is_empty());
+        SchedMode::from_vars(var("TM_SCHED").as_deref(), var("TM_SCHED_GAP").as_deref())
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The mode selected by the values of `TM_SCHED` and `TM_SCHED_GAP`
+    /// (`None` when unset or empty). The gap must be a positive integer
+    /// whenever it is set; it applies only to [`SchedMode::Pct`].
+    fn from_vars(sched: Option<&str>, gap: Option<&str>) -> Result<SchedMode, String> {
+        let mode = match sched {
+            Some(v) => SchedMode::parse(v).ok_or_else(|| {
+                format!("TM_SCHED={v:?} is not a scheduling mode (expected minclock|pct)")
+            })?,
+            None => SchedMode::MinClock,
         };
-        match mode {
-            SchedMode::Pct { .. } => {
-                let gap = std::env::var("TM_SCHED_GAP")
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|g| *g > 0)
-                    .unwrap_or(DEFAULT_PCT_GAP);
-                SchedMode::Pct { avg_gap: gap }
-            }
+        let gap = match gap {
+            Some(v) => v
+                .parse()
+                .ok()
+                .filter(|g| *g > 0)
+                .ok_or_else(|| format!("TM_SCHED_GAP={v:?} is not a positive integer"))?,
+            None => DEFAULT_PCT_GAP,
+        };
+        Ok(match mode {
+            SchedMode::Pct { .. } => SchedMode::Pct { avg_gap: gap },
             m => m,
-        }
+        })
     }
 
     /// Short label for reports.
@@ -171,7 +186,6 @@ struct SchedState {
 /// runs at a time, chosen by [`SchedMode`] over published clocks with
 /// seeded tie-breaking. See the module docs for the dispatch rules.
 pub struct Scheduler {
-    enabled: bool,
     quantum: u64,
     mode: SchedMode,
     /// Seeded tie-break rank per thread (lower rank runs first on clock
@@ -187,7 +201,17 @@ pub struct Scheduler {
 impl Scheduler {
     /// Create a scheduler for `threads` logical processors dispatched by
     /// `mode` with deterministic tie-breaking derived from `seed`.
-    pub fn new(threads: usize, quantum: u64, enabled: bool, mode: SchedMode, seed: u64) -> Self {
+    ///
+    /// # Panics
+    ///
+    /// If `strict` is false. Strict turn-based dispatch is the only
+    /// execution mode; the flag is what remains of the removed
+    /// free-running mode and must be `true`.
+    pub fn new(threads: usize, quantum: u64, strict: bool, mode: SchedMode, seed: u64) -> Self {
+        assert!(
+            strict,
+            "free-run mode was removed: Scheduler::new requires strict = true"
+        );
         let mut rng = XorShift64::new(seed);
         let mut order: Vec<usize> = (0..threads).collect();
         for i in (1..threads).rev() {
@@ -207,7 +231,6 @@ impl Scheduler {
             SchedMode::MinClock => u64::MAX,
         };
         Scheduler {
-            enabled,
             quantum,
             mode,
             rank,
@@ -224,11 +247,6 @@ impl Scheduler {
             }),
             cvs: (0..threads).map(|_| Condvar::new()).collect(),
         }
-    }
-
-    /// Whether time-ordered scheduling is active.
-    pub fn enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Compute (and record) the turn holder. Pure in the scheduler
@@ -315,9 +333,6 @@ impl Scheduler {
     /// pass before its first shared-state access, and again after every
     /// barrier release.
     pub fn wait_turn(&self, tid: usize) {
-        if !self.enabled {
-            return;
-        }
         let s = self.state.lock();
         let prev = s.current;
         self.wait_turn_locked(tid, s, prev);
@@ -328,9 +343,6 @@ impl Scheduler {
     ///
     /// Must not be called while holding any other lock.
     pub fn advance(&self, tid: usize, cycles: u64) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         debug_assert_eq!(s.status[tid], ThreadStatus::Running);
         s.counters.advances += 1;
@@ -364,9 +376,6 @@ impl Scheduler {
     /// on the host order in which the woken threads happen to reach the
     /// scheduler again.
     pub fn unpark_all(&self, clock: u64) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         for t in 0..s.status.len() {
             if s.status[t] == ThreadStatus::Parked {
@@ -387,9 +396,6 @@ impl Scheduler {
 
     /// Take `tid` out of dispatch and hand the turn on if it held it.
     fn retire(&self, tid: usize, status: ThreadStatus) {
-        if !self.enabled {
-            return;
-        }
         let mut s = self.state.lock();
         s.status[tid] = status;
         let prev = s.current;
@@ -415,7 +421,6 @@ impl Scheduler {
 impl std::fmt::Debug for Scheduler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scheduler")
-            .field("enabled", &self.enabled)
             .field("quantum", &self.quantum)
             .field("mode", &self.mode)
             .finish()
@@ -544,10 +549,9 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_disabled_is_noop() {
-        let sched = Scheduler::new(2, 100, false, SchedMode::MinClock, 0);
-        sched.advance(0, 1_000_000);
-        assert_eq!(sched.clock(0), 0); // disabled: nothing recorded
+    #[should_panic(expected = "free-run mode was removed")]
+    fn free_run_mode_is_rejected() {
+        let _ = Scheduler::new(2, 100, false, SchedMode::MinClock, 0);
     }
 
     #[test]
@@ -685,5 +689,32 @@ mod tests {
             })
         );
         assert_eq!(SchedMode::parse("bogus"), None);
+    }
+
+    #[test]
+    fn env_values_parse_or_name_the_bad_variable() {
+        assert_eq!(SchedMode::from_vars(None, None), Ok(SchedMode::MinClock));
+        assert_eq!(
+            SchedMode::from_vars(Some("pct"), None),
+            Ok(SchedMode::Pct {
+                avg_gap: DEFAULT_PCT_GAP
+            })
+        );
+        assert_eq!(
+            SchedMode::from_vars(Some("pct"), Some("25")),
+            Ok(SchedMode::Pct { avg_gap: 25 })
+        );
+        assert_eq!(
+            SchedMode::from_vars(Some("minclock"), Some("25")),
+            Ok(SchedMode::MinClock)
+        );
+        for bad in ["abc", "0", "-3"] {
+            assert_eq!(
+                SchedMode::from_vars(Some("pct"), Some(bad)),
+                Err(format!("TM_SCHED_GAP={bad:?} is not a positive integer"))
+            );
+        }
+        let err = SchedMode::from_vars(Some("fifo"), None).unwrap_err();
+        assert!(err.starts_with("TM_SCHED=\"fifo\""), "{err}");
     }
 }

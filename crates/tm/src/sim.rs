@@ -25,8 +25,8 @@ pub(crate) const FLUSH_CYCLES: u64 = 64;
 /// A mutex that spins in *simulated* time.
 ///
 /// Holders are expected to release quickly (commit sections); waiters call
-/// [`SimMutex::acquire`] with a closure that charges simulated cycles per
-/// failed attempt, which lets the scheduler run the holder.
+/// [`SimMutex::acquire_until`] with a closure that charges simulated
+/// cycles per failed attempt, which hands the turn to the holder.
 pub struct SimMutex {
     locked: std::sync::atomic::AtomicBool,
 }
@@ -51,21 +51,6 @@ impl SimMutex {
         !self.locked.swap(true, std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Acquire, calling `spin_tick` once per failed attempt (the closure
-    /// should advance simulated time and may yield the host CPU).
-    pub fn acquire(&self, mut spin_tick: impl FnMut()) {
-        let mut spins = 0u32;
-        while !self.try_acquire() {
-            spin_tick();
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-    }
-
     /// Acquire, calling `spin_tick` once per failed attempt; the closure
     /// charges simulated cycles and returns whether to keep waiting.
     /// Returns true once acquired, false if `spin_tick` gave up.
@@ -75,16 +60,9 @@ impl SimMutex {
     /// serialized transaction's queueing delay shows up in `sim_cycles`
     /// exactly like any other stall.
     pub fn acquire_until(&self, mut spin_tick: impl FnMut() -> bool) -> bool {
-        let mut spins = 0u32;
         while !self.try_acquire() {
             if !spin_tick() {
                 return false;
-            }
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
             }
         }
         true
@@ -234,32 +212,7 @@ impl XorShift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
-
-    #[test]
-    fn sim_mutex_mutual_exclusion() {
-        let m = Arc::new(SimMutex::new());
-        let counter = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let m = m.clone();
-            let c = counter.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..1000 {
-                    m.acquire(|| {});
-                    let v = c.load(Ordering::Relaxed);
-                    std::hint::spin_loop();
-                    c.store(v + 1, Ordering::Relaxed);
-                    m.release();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(counter.load(Ordering::Relaxed), 4000);
-    }
 
     #[test]
     fn sim_mutex_acquire_until_charges_and_gives_up() {

@@ -198,8 +198,8 @@ impl ThreadCtx {
         // lines between the holder's occupancy probes, which can
         // phase-lock into a schedule where the holder never observes
         // its conflict set drain. Wait (in simulated cycles) for the
-        // holder to commit; free-running schedules broke the cycle by
-        // chance, the strict scheduler must break it by rule.
+        // holder to commit: a deterministic schedule that phase-locks
+        // stays locked, so the cycle must be broken by rule.
         if self.global.config.system == SystemKind::EagerHtm && !self.has_priority {
             while {
                 let p = self.global.priority.load(Ordering::SeqCst);
@@ -228,15 +228,8 @@ impl ThreadCtx {
                 break;
             }
             self.global.active[self.tid].store(false, Ordering::SeqCst);
-            let mut spins = 0u32;
             while self.global.irrevocable.load(Ordering::SeqCst) != NO_PRIORITY {
                 self.spin_charge(20);
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
             }
             self.global.active[self.tid].store(true, Ordering::SeqCst);
         }
@@ -249,15 +242,8 @@ impl ThreadCtx {
         }
         if self.global.config.system == SystemKind::GlobalLock {
             // Coarse-grain lock: serialize the whole transaction.
-            let mut spins = 0u32;
             while !self.global.commit_token.try_acquire() {
                 self.spin_charge(10);
-                spins += 1;
-                if spins.is_multiple_of(64) {
-                    std::thread::yield_now();
-                } else {
-                    std::hint::spin_loop();
-                }
             }
         }
         // Derive this attempt's fault stream last, so gate/queue waits
@@ -451,7 +437,6 @@ impl ThreadCtx {
         }
         // 1. The irrevocability gate (one escalated transaction at a
         // time; losers wait their turn here).
-        let mut spins = 0u32;
         while self
             .global
             .irrevocable
@@ -459,12 +444,6 @@ impl ThreadCtx {
             .is_err()
         {
             self.spin_charge(20);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         struct IrrevGuard {
             global: std::sync::Arc<crate::runtime::Global>,
@@ -494,29 +473,15 @@ impl ThreadCtx {
         // to resolve. New attempts park at the gate, so once `active`
         // drains, this thread is the only one touching shared data.
         let n = self.global.config.threads;
-        let mut spins = 0u32;
         while (0..n).any(|t| t != self.tid && self.global.active[t].load(Ordering::SeqCst)) {
             self.spin_charge(20);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         // 3. The commit token, for the whole irrevocable execution:
         // read-only fences and lazy commits spin on it, so even a
         // thread mid-attempt when the gate closed cannot slip a commit
         // under our in-place writes.
-        let mut spins = 0u32;
         while !self.global.commit_token.try_acquire() {
             self.spin_charge(10);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         guard.token_held = true;
         loop {
@@ -1132,18 +1097,11 @@ impl Txn<'_> {
     /// Spin (in simulated time) for the global commit token, aborting if
     /// doomed while waiting.
     fn acquire_commit_token(&mut self) -> TxResult<()> {
-        let mut spins = 0u32;
         while !self.ctx.global.commit_token.try_acquire() {
             if self.is_doomed() {
                 return Err(Abort(()));
             }
             self.ctx.spin_charge(10);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         Ok(())
     }
@@ -1155,18 +1113,11 @@ impl Txn<'_> {
     /// the token, so this is sufficient for consistency without
     /// serializing read-only transactions against each other.
     fn read_only_fence(&mut self) -> TxResult<()> {
-        let mut spins = 0u32;
         while self.ctx.global.commit_token.is_locked() {
             if self.is_doomed() {
                 return Err(Abort(()));
             }
             self.ctx.spin_charge(5);
-            spins += 1;
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
         }
         self.check_doomed()
     }
@@ -1296,9 +1247,6 @@ impl Txn<'_> {
                 self.prof_lost_to_mask(line, remaining);
                 return Err(Abort(()));
             }
-            if spins.is_multiple_of(64) {
-                std::thread::yield_now();
-            }
         }
     }
 
@@ -1334,9 +1282,6 @@ impl Txn<'_> {
                     if spins > 100_000 {
                         self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
                         return Err(Abort(()));
-                    }
-                    if spins.is_multiple_of(64) {
-                        std::thread::yield_now();
                     }
                 }
             }

@@ -2,7 +2,7 @@
 //! isolation under contention, and the simulation machinery must produce
 //! sensible cycle counts.
 
-use tm::{BackoffPolicy, Granularity, SystemKind, TmConfig, TmRuntime};
+use tm::{CmPolicy, Granularity, SystemKind, TmConfig, TmRuntime};
 
 fn all_systems() -> [SystemKind; 6] {
     SystemKind::ALL_TM
@@ -244,11 +244,11 @@ fn parallel_work_scales_in_simulated_time() {
 /// retries should be at least as high as with backoff.
 #[test]
 fn backoff_reduces_or_equals_retries() {
-    let run = |backoff: BackoffPolicy| {
+    let run = |policy: CmPolicy| {
         let rt = TmRuntime::new(
             TmConfig::new(SystemKind::EagerStm, 8)
                 .quantum(50)
-                .backoff(backoff)
+                .cm(policy)
                 .seed(11),
         );
         let hot = rt.heap().alloc_cell(0u64);
@@ -264,8 +264,8 @@ fn backoff_reduces_or_equals_retries() {
         assert_eq!(rt.heap().load_cell(&hot), 800);
         report.stats.retries_per_txn()
     };
-    let without = run(BackoffPolicy::None);
-    let with = run(BackoffPolicy::RandomizedLinear {
+    let without = run(CmPolicy::Immediate);
+    let with = run(CmPolicy::RandomizedLinear {
         after: 1,
         base: 500,
     });

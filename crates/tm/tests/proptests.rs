@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tm::addr::{LineAddr, WordAddr};
 use tm::cm::{make_cm, CmCtx, CmPolicy, CmShared};
-use tm::config::{BackoffPolicy, Granularity};
+use tm::config::Granularity;
 use tm::locks::{GlobalClock, LockTable, LockWord};
 use tm::signature::{table_v_hashes, Signature};
 use tm::verify::find_cycle;
@@ -223,10 +223,10 @@ proptest! {
         }
     }
 
-    /// `Immediate` replays the pre-refactor `BackoffPolicy::None`
-    /// schedule on any abort trace: zero backoff everywhere and no RNG
-    /// draws (the stream that seeds every downstream randomized
-    /// decision stays bit-identical).
+    /// `Immediate` replays the pre-refactor no-backoff schedule on any
+    /// abort trace: zero backoff everywhere and no RNG draws (the
+    /// stream that seeds every downstream randomized decision stays
+    /// bit-identical).
     #[test]
     fn cm_immediate_replays_pre_refactor_none(
         seed in 1u64..u64::MAX,
@@ -274,8 +274,7 @@ proptest! {
                 }
             })
             .collect();
-        let cfg = TmConfig::new(SystemKind::LazyStm, 2)
-            .backoff(BackoffPolicy::RandomizedLinear { after, base });
+        let cfg = TmConfig::new(SystemKind::LazyStm, 2).cm(CmPolicy::RandomizedLinear { after, base });
         let mut cm = make_cm(cfg.effective_cm(), &cfg);
         let shared = CmShared::new(2);
         let mut new_rng = XorShift64::new(seed);
@@ -297,8 +296,8 @@ proptest! {
         prop_assert_eq!(old_rng.next_u64(), new_rng.next_u64());
     }
 
-    /// Same replay equivalence for `ExponentialRandom` (the remaining
-    /// legacy `BackoffPolicy`).
+    /// Same replay equivalence for `ExponentialRandom`, the other
+    /// pre-refactor backoff curve.
     #[test]
     fn cm_exponential_replays_pre_refactor_schedule(
         seed in 1u64..u64::MAX,
@@ -320,8 +319,8 @@ proptest! {
                 }
             })
             .collect();
-        let cfg = TmConfig::new(SystemKind::LazyStm, 2).backoff(
-            BackoffPolicy::ExponentialRandom { after, base, max_exp },
+        let cfg = TmConfig::new(SystemKind::LazyStm, 2).cm(
+            CmPolicy::ExponentialRandom { after, base, max_exp },
         );
         let mut cm = make_cm(cfg.effective_cm(), &cfg);
         let shared = CmShared::new(2);

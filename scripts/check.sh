@@ -22,6 +22,9 @@ cargo run -q --release -p bench --bin ablation_cm -- --smoke
 echo "==> schedfuzz --smoke"
 TM_VERIFY=1 cargo run -q --release -p bench --bin schedfuzz -- --smoke
 
+echo "==> schedfuzz --golden --check (all 20 goldens byte-identical)"
+cargo run -q --release -p bench --bin schedfuzz -- --golden --check
+
 echo "==> chaos --smoke"
 cargo run -q --release -p bench --bin chaos -- --smoke
 
