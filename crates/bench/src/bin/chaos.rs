@@ -22,7 +22,7 @@
 //! actually exercised, not just present.
 //!
 //! Modes: full sweep (default; 3 rates × 8 seed pairs × 6 systems ×
-//! {2,4,8} threads) or `--smoke` (2 rates × 3 pairs × 2 systems at 4
+//! {2,4,8} threads) or `--smoke` (2 rates × 30 pairs × 2 systems at 4
 //! threads — the CI gate). `--variants <one>` picks the application
 //! (default genome), `--scale N` the workload divisor.
 
@@ -286,7 +286,7 @@ fn main() {
     let mut out = String::new();
 
     if smoke {
-        // CI gate: low + high rates, 3 seed pairs, two representative
+        // CI gate: low + high rates, 30 seed pairs, two representative
         // systems (one HTM-family for the sigfp path, one STM) at 4
         // threads. Everything is asserted; trips are reported but not
         // required at this sample size.
@@ -300,7 +300,7 @@ fn main() {
             &[4],
             scale,
             &rate_sel,
-            &seed_pairs(3),
+            &seed_pairs(30),
             &mut sink,
             &mut out,
         );

@@ -12,8 +12,8 @@
 //!   app-verified; seed 0 is run twice and must replay bit-identically.
 //! * `--pct N` — same, under PCT-style adversarial priority dispatch
 //!   ([`SchedMode::Pct`]); `--gap G` sets the mean change-point gap.
-//! * `--smoke` — the CI gate: 3 seeds × {genome, vacation-high} ×
-//!   {eager HTM, lazy STM} × both modes at 4 threads, then 2 seeds of
+//! * `--smoke` — the CI gate: 30 seeds × {genome, vacation-high} ×
+//!   {eager HTM, lazy STM} × both modes at 4 threads, then 20 seeds of
 //!   the same matrix under min-clock at 16 threads, sanitizer on, plus a
 //!   byte-identical double-run of the JSON report.
 //! * `--golden [--check]` — (re)generate or verify the
@@ -216,7 +216,7 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
             avg_gap: tm::DEFAULT_PCT_GAP,
         },
     ] {
-        sweep(&variants, &systems, 4, scale, mode, 0, 3, None, sink);
+        sweep(&variants, &systems, 4, scale, mode, 0, 30, None, sink);
     }
     // The paper's headline thread count.
     sweep(
@@ -226,7 +226,7 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
         scale,
         SchedMode::MinClock,
         0,
-        2,
+        20,
         None,
         sink,
     );

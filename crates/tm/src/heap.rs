@@ -20,6 +20,7 @@ use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use crate::addr::{WordAddr, WORDS_PER_LINE};
+use crate::fiber::AtomicWords;
 
 /// log2 of the chunk size in words.
 const CHUNK_BITS: u32 = 20;
@@ -109,8 +110,10 @@ pub struct TmHeap {
     chunks: Box<[AtomicPtr<AtomicU64>]>,
     /// Bump allocator (in words).
     next: AtomicU64,
-    /// Owning storage for the chunks, for deallocation on drop.
-    owned: Mutex<Vec<Box<[AtomicU64]>>>,
+    /// Owning storage for the chunks, for deallocation on drop. Each is
+    /// fresh zero pages, so a chunk costs only the pages its
+    /// allocations touch.
+    owned: Mutex<Vec<AtomicWords>>,
 }
 
 impl Default for TmHeap {
@@ -150,10 +153,8 @@ impl TmHeap {
         if !self.chunks[chunk_idx].load(Ordering::Acquire).is_null() {
             return;
         }
-        let mut chunk: Vec<AtomicU64> = Vec::with_capacity(CHUNK_WORDS as usize);
-        chunk.resize_with(CHUNK_WORDS as usize, || AtomicU64::new(0));
-        let mut chunk = chunk.into_boxed_slice();
-        let ptr = chunk.as_mut_ptr();
+        let chunk = AtomicWords::zeroed(CHUNK_WORDS as usize);
+        let ptr = chunk.as_ptr().cast_mut();
         owned.push(chunk);
         self.chunks[chunk_idx].store(ptr, Ordering::Release);
     }
@@ -244,7 +245,7 @@ impl TmHeap {
         let offset = (addr.0 & (CHUNK_WORDS - 1)) as usize;
         let ptr = self.chunks[chunk_idx].load(Ordering::Acquire);
         assert!(!ptr.is_null(), "access to unmapped simulated chunk");
-        // SAFETY: `ptr` points to the start of a live boxed slice of
+        // SAFETY: `ptr` points to the start of a live table of
         // CHUNK_WORDS AtomicU64s owned by `self.owned`, which is never
         // shrunk or freed before the heap drops, and `offset < CHUNK_WORDS`.
         unsafe { &*ptr.add(offset) }

@@ -19,8 +19,8 @@
 //!
 //! Because the paper's numbers come from an execution-driven simulator
 //! (Table V), the engine includes a *time-ordered simulation mode*: the
-//! logical threads of a run are real OS threads whose interleaving is
-//! constrained to simulated-time order, and every barrier, memory access,
+//! logical threads of a run are fibers on the calling OS thread, run one
+//! at a time in simulated-time order, and every barrier, memory access,
 //! and unit of application work advances a per-thread cycle clock using
 //! the Table V cost model. Reported times are simulated cycles, so
 //! speedup curves over 1–16 logical processors are meaningful on any
@@ -55,6 +55,7 @@ pub mod cm;
 pub mod config;
 pub mod directory;
 pub mod fault;
+mod fiber;
 pub mod fxhash;
 pub mod heap;
 pub mod locks;

@@ -14,6 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::addr::WordAddr;
 use crate::config::Granularity;
+use crate::fiber::AtomicWords;
 
 /// Decoded view of a lock word.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,7 +79,9 @@ impl GlobalClock {
 
 /// The global versioned-lock table.
 pub struct LockTable {
-    words: Box<[AtomicU64]>,
+    /// Fresh zero pages: a run touches only the entries its addresses
+    /// hash to.
+    words: AtomicWords,
     mask: u64,
     gran_shift: u32,
 }
@@ -89,9 +92,8 @@ impl LockTable {
     pub fn new(bits: u32, granularity: Granularity) -> Self {
         assert!((10..=28).contains(&bits), "unreasonable lock table size");
         let len = 1usize << bits;
-        let words = (0..len).map(|_| AtomicU64::new(0)).collect();
         LockTable {
-            words,
+            words: AtomicWords::zeroed(len),
             mask: (len as u64) - 1,
             gran_shift: match granularity {
                 Granularity::Word => 0, // word addresses are already word-granular

@@ -2,12 +2,12 @@
 //! and the fork-join entry point that runs an application phase on the
 //! simulated machine.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, AtomicUsize};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::utils::CachePadded;
-use parking_lot::Mutex;
 
 use crate::addr::{LineAddr, WordAddr};
 use crate::cache::CacheModel;
@@ -16,6 +16,7 @@ use crate::config::MutationHook;
 use crate::config::{SystemKind, TmConfig};
 use crate::directory::Directory;
 use crate::fault::{FaultState, WatchdogConfig};
+use crate::fiber::Fiber;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::heap::{TCell, TmHeap, TmValue};
 use crate::locks::{GlobalClock, LockTable};
@@ -101,7 +102,7 @@ impl Global {
             txn_ts: (0..n)
                 .map(|_| CachePadded::new(std::sync::atomic::AtomicU64::new(u64::MAX)))
                 .collect(),
-            scheduler: Scheduler::new(n, config.quantum, true, config.sched, config.sched_seed),
+            scheduler: Scheduler::for_fibers(n, config.quantum, config.sched, config.sched_seed),
             cm_shared: CmShared::new(n),
             verify: config.verify.then(VerifyState::default),
             prof: config.prof.then(ProfShared::default),
@@ -129,8 +130,8 @@ pub struct RunReport {
     /// under injected faults; the aggregate alone cannot distinguish a
     /// starved thread from an idle one.
     pub thread_commits: Vec<u64>,
-    /// Scheduler advances, handoffs and wakeups. Host-dependent
-    /// through `wakeups`, so no pinned artifact records them.
+    /// Scheduler advances, handoffs and wakeups. Host-side counts,
+    /// so no pinned artifact records them.
     pub sched: SchedCounters,
     /// Sanitizer report, present when the run had `TmConfig::verify`
     /// (or `TM_VERIFY=1`) enabled.
@@ -188,9 +189,17 @@ impl TmRuntime {
     /// configured logical threads. Returns the simulated makespan and
     /// aggregated statistics.
     ///
+    /// Each logical thread is a fiber on the calling OS thread, and a
+    /// driver loop resumes whichever one holds the scheduler's turn
+    /// until all have finished.
+    ///
     /// # Panics
     ///
-    /// Propagates panics from the body (after all threads join).
+    /// Re-raises the first panic of any body, after the other threads
+    /// have run as far as they can without it. Panics, naming each
+    /// thread's status, if no thread can run while some have not
+    /// finished (e.g. a body returned without reaching a barrier its
+    /// peers wait at).
     pub fn run<F>(&self, body: F) -> RunReport
     where
         F: Fn(&mut ThreadCtx) + Sync,
@@ -199,45 +208,59 @@ impl TmRuntime {
         // independent across phases while reusing heap contents.
         let global = Arc::new(Global::new(self.config.clone(), self.heap.clone()));
         let n = self.config.threads;
-        type Collected = (usize, ThreadStats, Option<ProfThreadReport>);
-        let collected: Mutex<Vec<Collected>> = Mutex::new(Vec::with_capacity(n));
+        type Collected = (ThreadStats, Option<ProfThreadReport>);
+        let collected: Vec<Cell<Option<Collected>>> = (0..n).map(|_| Cell::new(None)).collect();
         let start = Instant::now();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for tid in 0..n {
+        // Declared after everything the fibers borrow, so an unwind out
+        // of the driver unwinds and unmaps unfinished fibers before any
+        // of it drops.
+        let mut fibers: Vec<Fiber<'_>> = (0..n)
+            .map(|tid| {
                 let global = global.clone();
-                let body = &body;
-                let collected = &collected;
-                handles.push(scope.spawn(move || {
+                let (body, slot) = (&body, &collected[tid]);
+                Fiber::new(move || {
                     let mut ctx = ThreadCtx::new(tid, global);
                     // Deterministic dispatch gate: only the turn holder
                     // may touch shared state, and that includes the
-                    // body's very first accesses — OS thread spawn
-                    // order must not matter.
+                    // body's very first accesses.
                     ctx.global.scheduler.wait_turn(tid);
-                    // Catch body panics so the scheduler releases the
-                    // other logical threads instead of deadlocking the
-                    // scope; the panic is re-raised after cleanup.
-                    let outcome =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| body(&mut ctx)));
-                    ctx.pending = 0;
+                    body(&mut ctx);
                     ctx.global.scheduler.done(tid);
-                    if let Err(payload) = outcome {
-                        std::panic::resume_unwind(payload);
-                    }
                     ctx.stats.total_cycles = ctx.clock;
                     if let Some((accesses, misses)) = ctx.cache_stats() {
                         ctx.stats.mem_accesses = accesses;
                         ctx.stats.mem_misses = misses;
                     }
                     let prof = ctx.prof.take().map(|p| p.into_report(tid, ctx.clock));
-                    collected.lock().push((tid, ctx.stats, prof));
-                }));
+                    slot.set(Some((ctx.stats, prof)));
+                })
+            })
+            .collect();
+        let mut panic = None;
+        let mut finished = 0;
+        // Fiber 0 makes the first pick; from then on the turn holder runs.
+        let mut next = Some(0);
+        while let Some(tid) = next {
+            if let Some(outcome) = fibers[tid].resume() {
+                finished += 1;
+                if let Err(payload) = outcome {
+                    // The body panicked on its fiber: retire the tid so
+                    // the others keep running, and re-raise at the end.
+                    global.scheduler.done(tid);
+                    panic.get_or_insert(payload);
+                }
             }
-            for h in handles {
-                h.join().expect("worker thread panicked");
-            }
-        });
+            next = global.scheduler.turn_holder();
+        }
+        if let Some(payload) = panic {
+            std::panic::resume_unwind(payload);
+        }
+        assert!(
+            finished == n,
+            "TmRuntime::run: no logical thread can run, but not all have finished ({})",
+            global.scheduler.describe_threads()
+        );
+        drop(fibers);
         let wall = start.elapsed();
         // Sanitizer finalize runs after the phase wall-clock is taken:
         // its cost is reported separately and never pollutes `wall` or
@@ -246,21 +269,16 @@ impl TmRuntime {
             .verify
             .as_ref()
             .map(|vs| verify::finalize(vs, self.config.system));
-        // Merge in tid order: threads finish (and push) in host order,
-        // but aggregation must not depend on it.
-        let mut threads_stats = collected.into_inner();
-        threads_stats.sort_by_key(|(tid, _, _)| *tid);
         let mut stats = RunStats::default();
         let mut sim_cycles = 0;
         let mut prof_threads = Vec::new();
         let mut thread_commits = Vec::with_capacity(n);
-        for (_, t, p) in &threads_stats {
-            stats.absorb(t);
+        for slot in collected {
+            let (t, p) = slot.into_inner().expect("every fiber finished");
+            stats.absorb(&t);
             sim_cycles = sim_cycles.max(t.total_cycles);
             thread_commits.push(t.commits);
-            if let Some(p) = p {
-                prof_threads.push(p.clone());
-            }
+            prof_threads.extend(p);
         }
         // Like the sanitizer, profiler finalize runs outside the timed
         // phase: draining the conflict table costs host time only.
@@ -753,18 +771,21 @@ impl ThreadCtx {
     pub fn barrier(&mut self, barrier: &SimBarrier) {
         assert!(!self.in_txn, "barrier inside a transaction");
         self.flush();
-        self.global.scheduler.park(self.tid);
-        let (release, releaser) = barrier.wait_role(self.clock);
-        if releaser {
-            self.global.scheduler.unpark_all(release);
+        let sched = &self.global.scheduler;
+        sched.park(self.tid);
+        if let Some(release) = barrier.arrive(self.clock) {
+            sched.unpark_all(release);
         }
-        self.global.scheduler.wait_turn(self.tid);
+        sched.wait_turn(self.tid);
+        // `unpark_all` raised every parked clock to at least the release
+        // clock, so this is never below `self.clock`.
+        let release = sched.clock(self.tid);
         if let Some(p) = &mut self.prof {
             // The jump to the latest arrival is time spent blocked at
             // the barrier.
-            p.add(ProfBucket::Barrier, release.saturating_sub(self.clock));
+            p.add(ProfBucket::Barrier, release - self.clock);
         }
-        self.clock = self.clock.max(release);
+        self.clock = release;
         self.pending = 0;
     }
 

@@ -28,12 +28,23 @@
 //!   deliberately adversarial — interleavings, every one of them
 //!   reproducible and still quantum-bounded.
 //!
-//! Each logical thread sleeps on its own condvar, all paired with the
-//! one state mutex. Whoever changes the dispatch state (the turn holder,
-//! or the barrier releaser while every thread is parked) re-runs the
-//! pick itself and wakes only the thread it chose, so a handoff costs
-//! one wakeup whatever the thread count. [`SchedCounters`] records
-//! advances, handoffs and wakeups for the [`crate::RunReport`].
+//! A logical thread that loses the turn waits in one of two ways, fixed
+//! by how the scheduler was built:
+//!
+//! * **Fibers** — [`crate::TmRuntime::run`] runs every logical thread as
+//!   a fiber on the caller's OS thread. A thread that loses the turn
+//!   drops the state lock and switches back to the run's driver loop,
+//!   which resumes whichever thread the pick chose. A
+//!   handoff is a user-space stack switch; the kernel is never involved.
+//! * **Condvars** — a [`Scheduler::new`] scheduler serves callers that
+//!   bring their own OS threads. Each logical thread sleeps on its own
+//!   condvar, all paired with the one state mutex, and a handoff wakes
+//!   only the thread it chose.
+//!
+//! Either way, whoever changes the dispatch state (the turn holder, or
+//! the barrier releaser while every thread is parked) re-runs the pick
+//! itself, and the dispatch decisions are identical. [`SchedCounters`]
+//! records advances, handoffs and wakeups for the [`crate::RunReport`].
 //!
 //! The `bench --bin schedfuzz` harness sweeps seeds in both modes with
 //! the [`crate::verify`] sanitizer recording every transaction, turning
@@ -41,6 +52,7 @@
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
 
+use crate::fiber;
 use crate::sim::XorShift64;
 
 /// Default deterministic-scheduler seed ([`crate::TmConfig::sched_seed`]).
@@ -151,16 +163,18 @@ enum ThreadStatus {
 const PRIO_BASE: u64 = u64::MAX / 2;
 
 /// Host-side scheduler event counts for one run
-/// ([`crate::RunReport::sched`]). `advances` and `handoffs` follow from
-/// the schedule; `wakeups` also counts spurious condvar returns, so it
-/// depends on the host and stays out of every pinned artifact.
+/// ([`crate::RunReport::sched`]). All three follow from the schedule on
+/// a [`crate::TmRuntime::run`]; on a condvar scheduler `wakeups` also
+/// counts spurious returns and so depends on the host. No pinned
+/// artifact records them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
     /// [`Scheduler::advance`] calls: published progress steps.
     pub advances: u64,
     /// Turn-holder changes; each wakes at most one sleeping thread.
     pub handoffs: u64,
-    /// Returns from a condvar wait.
+    /// Returns from a wait for the turn: fiber resumptions on a run,
+    /// condvar returns (spurious ones included) otherwise.
     pub wakeups: u64,
 }
 
@@ -192,15 +206,23 @@ pub struct Scheduler {
     /// ties); a Fisher–Yates permutation of `0..threads`.
     rank: Vec<u64>,
     state: Mutex<SchedState>,
+    wait: Wait,
+}
+
+/// How a thread that lost the turn waits for it (see the module docs).
+enum Wait {
+    /// Switch to the run's driver, which resumes the new holder.
+    Fiber,
     /// One condvar per logical thread, all paired with `state`: thread
     /// `t` sleeps only on `cvs[t]`, so a handoff wakes only the new
     /// holder.
-    cvs: Vec<Condvar>,
+    Condvar(Vec<Condvar>),
 }
 
 impl Scheduler {
     /// Create a scheduler for `threads` logical processors dispatched by
-    /// `mode` with deterministic tie-breaking derived from `seed`.
+    /// `mode` with deterministic tie-breaking derived from `seed`, for
+    /// callers that run each logical thread on its own OS thread.
     ///
     /// # Panics
     ///
@@ -212,6 +234,19 @@ impl Scheduler {
             strict,
             "free-run mode was removed: Scheduler::new requires strict = true"
         );
+        let cvs = (0..threads).map(|_| Condvar::new()).collect();
+        Scheduler::with_wait(threads, quantum, mode, seed, Wait::Condvar(cvs))
+    }
+
+    /// A scheduler whose logical threads are the fibers of one
+    /// [`crate::TmRuntime::run`]: a thread that loses the turn switches
+    /// back to the run's driver loop, which resumes
+    /// [`Scheduler::turn_holder`].
+    pub(crate) fn for_fibers(threads: usize, quantum: u64, mode: SchedMode, seed: u64) -> Self {
+        Scheduler::with_wait(threads, quantum, mode, seed, Wait::Fiber)
+    }
+
+    fn with_wait(threads: usize, quantum: u64, mode: SchedMode, seed: u64, wait: Wait) -> Self {
         let mut rng = XorShift64::new(seed);
         let mut order: Vec<usize> = (0..threads).collect();
         for i in (1..threads).rev() {
@@ -245,7 +280,7 @@ impl Scheduler {
                 rng,
                 counters: SchedCounters::default(),
             }),
-            cvs: (0..threads).map(|_| Condvar::new()).collect(),
+            wait,
         }
     }
 
@@ -292,38 +327,50 @@ impl Scheduler {
         next
     }
 
-    /// Re-run [`Scheduler::pick`] after a state change and wake the
-    /// chosen thread — only it, and only if the holder changed from
-    /// `prev`. `pick` is pure in the state, and only the holder (or the
-    /// barrier releaser, while every thread is parked) changes that
-    /// state, so this is exactly the holder any other thread would
-    /// compute. The chosen thread need not be asleep yet (still
-    /// spawning, or inside `SimBarrier::wait_role`): the notification is
-    /// then lost, and harmlessly so, because it calls `pick` under the
-    /// lock before it ever waits and retention hands it the turn.
+    /// Re-run [`Scheduler::pick`] after a state change and, on a condvar
+    /// scheduler, wake the chosen thread — only it, and only if the
+    /// holder changed from `prev`. `pick` is pure in the state, and only
+    /// the holder (or the barrier releaser, while every thread is parked)
+    /// changes that state, so this is exactly the holder any other thread
+    /// would compute. The chosen thread need not be asleep yet (still
+    /// starting, or between its barrier arrival and `wait_turn`): the
+    /// notification is then lost, and harmlessly so, because it calls
+    /// `pick` under the lock before it ever waits and retention hands it
+    /// the turn. On fibers the run's driver reads the new holder itself.
     fn hand_off(&self, s: &mut SchedState, prev: Option<usize>) -> Option<usize> {
         let next = self.pick(s);
         if next != prev {
             if let Some(t) = next {
                 s.counters.handoffs += 1;
-                self.cvs[t].notify_one();
+                if let Wait::Condvar(cvs) = &self.wait {
+                    cvs[t].notify_one();
+                }
             }
         }
         next
     }
 
-    /// Block until `tid` holds the turn; `prev` is the holder before the
-    /// caller's state change. A thread sleeps only on its own condvar,
-    /// and only after `pick` chose someone else, so the holder is never
-    /// asleep and it is the only thread each handoff wakes.
-    fn wait_turn_locked(
-        &self,
+    /// Wait until `tid` holds the turn; `prev` is the holder before the
+    /// caller's state change. A thread waits only after `pick` chose
+    /// someone else, so the holder never waits. On fibers the waiter
+    /// drops the lock and switches to the driver, which resumes it once
+    /// it holds the turn again; on condvars it sleeps on its own condvar,
+    /// and each handoff wakes only the new holder.
+    fn wait_turn_locked<'a>(
+        &'a self,
         tid: usize,
-        mut s: MutexGuard<'_, SchedState>,
+        mut s: MutexGuard<'a, SchedState>,
         mut prev: Option<usize>,
     ) {
         while self.hand_off(&mut s, prev) != Some(tid) {
-            self.cvs[tid].wait(&mut s);
+            match &self.wait {
+                Wait::Fiber => {
+                    drop(s);
+                    fiber::suspend();
+                    s = self.state.lock();
+                }
+                Wait::Condvar(cvs) => cvs[tid].wait(&mut s),
+            }
             s.counters.wakeups += 1;
             prev = s.current;
         }
@@ -407,6 +454,27 @@ impl Scheduler {
         self.state.lock().counters
     }
 
+    /// The thread currently allowed to run, if any: the one a fiber
+    /// run's driver resumes next.
+    pub(crate) fn turn_holder(&self) -> Option<usize> {
+        self.state.lock().current
+    }
+
+    /// Every thread's dispatch status, for a stuck run's panic message:
+    /// `tid 0: done, tid 1: parked, ...`.
+    pub(crate) fn describe_threads(&self) -> String {
+        let s = self.state.lock();
+        let status = |st| match st {
+            ThreadStatus::Running => "runnable",
+            ThreadStatus::Parked => "parked",
+            ThreadStatus::Done => "done",
+        };
+        (0..s.status.len())
+            .map(|t| format!("tid {t}: {}", status(s.status[t])))
+            .collect::<Vec<_>>()
+            .join(", ")
+    }
+
     /// The published clock of `tid` (excludes unflushed local cycles).
     pub fn clock(&self, tid: usize) -> u64 {
         self.state.lock().clocks[tid]
@@ -431,6 +499,7 @@ impl std::fmt::Debug for Scheduler {
 mod tests {
     use super::*;
     use crate::sim::SimBarrier;
+    use crate::{SystemKind, TmConfig, TmRuntime};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::{mpsc, Arc};
     use std::time::Duration;
@@ -439,41 +508,40 @@ mod tests {
         Scheduler::new(threads, quantum, true, SchedMode::MinClock, 42)
     }
 
+    /// A run of `threads` logical threads under `quantum` and `mode`.
+    fn runtime(threads: usize, quantum: u64, mode: SchedMode, seed: u64) -> TmRuntime {
+        TmRuntime::new(
+            TmConfig::new(SystemKind::LazyStm, threads)
+                .quantum(quantum)
+                .sched(mode)
+                .sched_seed(seed),
+        )
+    }
+
     #[test]
     fn scheduler_bounds_skew() {
-        let sched = Arc::new(sched(2, 100));
-        let max_seen = Arc::new(AtomicU64::new(0));
-        let s1 = sched.clone();
-        let m1 = max_seen.clone();
-        let fast = std::thread::spawn(move || {
+        let rt = runtime(2, 100, SchedMode::MinClock, 42);
+        let max_seen = AtomicU64::new(0);
+        let report = rt.run(|ctx| {
             for _ in 0..1000 {
-                s1.advance(0, 10);
-                let skew = s1.clock(0).saturating_sub(s1.clock(1));
-                m1.fetch_max(skew, Ordering::Relaxed);
+                ctx.work(10);
+                ctx.flush();
+                let sched = &ctx.global.scheduler;
+                let (mine, other) = (sched.clock(ctx.tid), sched.clock(1 - ctx.tid));
+                max_seen.fetch_max(mine.saturating_sub(other), Ordering::Relaxed);
             }
-            s1.done(0);
         });
-        let s2 = sched.clone();
-        let slow = std::thread::spawn(move || {
-            for _ in 0..1000 {
-                s2.advance(1, 10);
-                std::hint::spin_loop();
-            }
-            s2.done(1);
-        });
-        fast.join().unwrap();
-        slow.join().unwrap();
         // Turn retention allows at most quantum + one advance of skew
         // while both threads are runnable.
         assert!(max_seen.load(Ordering::Relaxed) <= 100 + 10);
-        assert_eq!(sched.max_clock(), 10_000);
+        assert_eq!(report.sim_cycles, 10_000);
     }
 
     #[test]
     fn strict_dispatch_serializes_threads() {
         // With one turn holder at a time, a data-race-prone read-modify-
         // write on a plain (non-atomic-RMW) cell is safe as long as every
-        // access happens between scheduler calls.
+        // access happens between scheduler calls — here on OS threads.
         let sched = Arc::new(sched(4, 50));
         let value = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
@@ -515,37 +583,22 @@ mod tests {
 
     #[test]
     fn pct_mode_changes_interleaving_with_seed() {
-        // Record the order in which threads win the turn under PCT with
-        // two different seeds; the traces must be deterministic per seed.
+        // Record the order in which threads win the turn under PCT; the
+        // trace must be deterministic per seed and differ across seeds.
         let trace_of = |seed: u64| {
-            let sched = Arc::new(Scheduler::new(
-                2,
-                100,
-                true,
-                SchedMode::Pct { avg_gap: 3 },
-                seed,
-            ));
-            let trace = Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let mut handles = Vec::new();
-            for tid in 0..2 {
-                let s = sched.clone();
-                let t = trace.clone();
-                handles.push(std::thread::spawn(move || {
-                    s.wait_turn(tid);
-                    for _ in 0..200 {
-                        t.lock().push(tid);
-                        s.advance(tid, 10);
-                    }
-                    s.done(tid);
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            Arc::try_unwrap(trace).unwrap().into_inner()
+            let trace = parking_lot::Mutex::new(Vec::new());
+            runtime(2, 100, SchedMode::Pct { avg_gap: 3 }, seed).run(|ctx| {
+                for _ in 0..200 {
+                    trace.lock().push(ctx.tid);
+                    ctx.work(10);
+                    ctx.flush();
+                }
+            });
+            trace.into_inner()
         };
         assert_eq!(trace_of(1), trace_of(1));
         assert_eq!(trace_of(9), trace_of(9));
+        assert_ne!(trace_of(1), trace_of(9));
     }
 
     #[test]
@@ -639,7 +692,7 @@ mod tests {
         let sched = Arc::new(sched(2, 0));
         let first = by_rank(&sched)[0];
         let barrier = Arc::new(SimBarrier::new(2));
-        // The non-releaser is held between its barrier exit and
+        // The non-releaser is held between its barrier arrival and
         // `wait_turn` until the releaser has re-picked, so a pick that
         // goes to it always finds it not yet waiting on its condvar.
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
@@ -653,8 +706,7 @@ mod tests {
                 s.wait_turn(tid);
                 for _ in 0..ROUNDS {
                     s.park(tid);
-                    let (release, releaser) = b.wait_role(s.clock(tid));
-                    if releaser {
+                    if let Some(release) = b.arrive(s.clock(tid)) {
                         s.unpark_all(release);
                         assert_eq!(s.state.lock().current, Some(first));
                         gate_tx.send(()).unwrap();

@@ -2,20 +2,21 @@
 //!
 //! The STAMP paper evaluates every TM system on an execution-driven
 //! simulator (Table V) and reports *simulated cycles*, not hardware wall
-//! clock. This module provides the equivalent substrate: application
-//! threads run as real OS threads whose interleaving is dictated by the
-//! deterministic turn-based [`crate::sched::Scheduler`]. Every TM
-//! barrier, memory access, and unit of application work advances the
-//! local clock, so contention, aborts, and serialization emerge from
-//! reproducible interleavings of the *logical* processors — independent
-//! of how many host cores exist.
+//! clock. This module provides the equivalent substrate: the logical
+//! threads of a run are fibers on one OS thread, and the deterministic
+//! turn-based [`crate::sched::Scheduler`] decides which of them runs.
+//! Every TM barrier, memory access, and unit of application work
+//! advances the local clock, so contention, aborts, and serialization
+//! emerge from reproducible interleavings of the *logical* processors —
+//! independent of how many host cores exist.
 //!
 //! Synchronization primitives that must not stall simulated time
 //! ([`SimMutex`]) spin in simulated time; the phase barrier
-//! ([`SimBarrier`]) parks threads outside the scheduler's runnable set and
-//! re-synchronizes their clocks on release, like a hardware barrier would.
+//! ([`SimBarrier`]) counts arrivals while the scheduler keeps arrived
+//! threads parked outside its runnable set, and re-synchronizes their
+//! clocks on release, like a hardware barrier would.
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Cycles a thread accumulates locally before publishing to the scheduler.
 /// This bounds scheduler overhead; the effective quantum is
@@ -95,19 +96,20 @@ impl std::fmt::Debug for SimMutex {
 
 struct BarrierState {
     arrived: usize,
-    generation: u64,
     max_clock: u64,
-    release_clock: u64,
 }
 
 /// A phase barrier for logical threads that re-synchronizes simulated
 /// clocks: all participants leave with their clock set to the latest
 /// arrival time (plus a small fixed cost).
+///
+/// The barrier itself never blocks: it only counts arrivals.
+/// [`crate::ThreadCtx::barrier`] parks each arriving thread in the
+/// scheduler and lets the last arrival release them all.
 pub struct SimBarrier {
     n: usize,
     cost: u64,
     state: Mutex<BarrierState>,
-    cv: Condvar,
 }
 
 impl SimBarrier {
@@ -119,48 +121,30 @@ impl SimBarrier {
             cost: 100,
             state: Mutex::new(BarrierState {
                 arrived: 0,
-                generation: 0,
                 max_clock: 0,
-                release_clock: 0,
             }),
-            cv: Condvar::new(),
         }
     }
 
-    /// Arrive with simulated clock `clock`; blocks until all `n` threads
-    /// arrive, then returns the synchronized release clock.
+    /// Arrive with simulated clock `clock`. The last of the `n` arrivals
+    /// gets `Some(release)`, the synchronized release clock, and the
+    /// barrier resets for its next use; every earlier arrival gets
+    /// `None`.
     ///
-    /// The caller must have parked itself in the scheduler first (handled
-    /// by `ThreadCtx::barrier`).
-    pub fn wait(&self, clock: u64) -> u64 {
-        self.wait_role(clock).0
-    }
-
-    /// Like [`SimBarrier::wait`], but also reports whether the caller
-    /// was the *releaser* (the last arrival). The releaser is the one
-    /// thread that must re-admit all participants to the scheduler in a
-    /// single deterministic step ([`crate::sched::Scheduler::unpark_all`])
-    /// before the others race back from the barrier.
-    pub fn wait_role(&self, clock: u64) -> (u64, bool) {
+    /// The last arrival is the *releaser*: it must re-admit all
+    /// participants to the scheduler in a single deterministic step
+    /// ([`crate::sched::Scheduler::unpark_all`]).
+    pub fn arrive(&self, clock: u64) -> Option<u64> {
         let mut s = self.state.lock();
         s.max_clock = s.max_clock.max(clock);
         s.arrived += 1;
-        if s.arrived == self.n {
-            s.arrived = 0;
-            s.generation += 1;
-            s.release_clock = s.max_clock + self.cost;
-            s.max_clock = 0;
-            let release = s.release_clock;
-            drop(s);
-            self.cv.notify_all();
-            (release, true)
-        } else {
-            let gen = s.generation;
-            while s.generation == gen {
-                self.cv.wait(&mut s);
-            }
-            (s.release_clock, false)
+        if s.arrived < self.n {
+            return None;
         }
+        let release = s.max_clock + self.cost;
+        s.arrived = 0;
+        s.max_clock = 0;
+        Some(release)
     }
 
     /// Number of participating threads.
@@ -212,7 +196,6 @@ impl XorShift64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn sim_mutex_acquire_until_charges_and_gives_up() {
@@ -238,32 +221,13 @@ mod tests {
     }
 
     #[test]
-    fn barrier_synchronizes_clocks() {
-        let b = Arc::new(SimBarrier::new(3));
-        let mut handles = Vec::new();
-        for (i, clock) in [100u64, 500, 300].into_iter().enumerate() {
-            let b = b.clone();
-            handles.push(std::thread::spawn(move || {
-                let _ = i;
-                b.wait(clock)
-            }));
-        }
-        let releases: Vec<u64> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        for r in &releases {
-            assert_eq!(*r, 600); // max(100,500,300) + barrier cost 100
-        }
-    }
-
-    #[test]
-    fn barrier_reusable_across_generations() {
-        let b = Arc::new(SimBarrier::new(2));
+    fn barrier_releases_on_last_arrival_and_resets() {
+        let b = SimBarrier::new(3);
         for round in 0..3u64 {
-            let b1 = b.clone();
-            let t = std::thread::spawn(move || b1.wait(round * 10));
-            let r_main = b.wait(round * 10 + 5);
-            let r_thread = t.join().unwrap();
-            assert_eq!(r_main, r_thread);
-            assert_eq!(r_main, round * 10 + 5 + 100);
+            assert_eq!(b.arrive(100 + round), None);
+            assert_eq!(b.arrive(500 + round), None);
+            // max(100, 500, 300) + barrier cost 100, every generation.
+            assert_eq!(b.arrive(300 + round), Some(600 + round));
         }
     }
 
