@@ -167,22 +167,81 @@ impl TmRbTree {
             }
             x = self.node(m.read(x.offset(if key < k { LEFT } else { RIGHT }))?);
         }
+        self.link_new(m, y, key, value)?;
+        Ok(true)
+    }
+
+    /// Insert `(key, value)` where `key` is larger than every key in the
+    /// tree, given the current maximum node (`None` when the tree is
+    /// empty); returns the new node, which is the new maximum.
+    ///
+    /// The new node becomes the hint's right child, which is exactly
+    /// where [`insert`](Self::insert)'s search would stop, so a chain of
+    /// `insert_max` calls makes the allocations and writes of the same
+    /// `insert` calls, without their root-to-leaf walks. A setup-time
+    /// helper for bulk loads in ascending key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is not above the hint's key, if the hint has a
+    /// right child, or if the hint is `None` and the tree is not empty.
+    pub fn insert_max<M: Mem>(
+        &self,
+        m: &mut M,
+        max_hint: Option<WordAddr>,
+        key: u64,
+        value: u64,
+    ) -> TxResult<WordAddr> {
+        let parent = match max_hint {
+            Some(h) => {
+                let k = m.read(h.offset(KEY))?;
+                assert!(
+                    key > k,
+                    "insert_max: key {key} is not above the maximum {k}"
+                );
+                assert!(
+                    self.is_nil(self.node(m.read(h.offset(RIGHT))?)),
+                    "insert_max: hint (key {k}) is not the maximum node"
+                );
+                h
+            }
+            None => {
+                assert!(
+                    self.is_nil(self.node(m.read(self.root)?)),
+                    "insert_max: no hint given for a non-empty tree"
+                );
+                self.nil
+            }
+        };
+        self.link_new(m, parent, key, value)
+    }
+
+    /// Allocate a node for `(key, value)`, link it under `parent` (the
+    /// NIL sentinel for an empty tree) on the side its key belongs, and
+    /// rebalance. Returns the new node.
+    fn link_new<M: Mem>(
+        &self,
+        m: &mut M,
+        parent: WordAddr,
+        key: u64,
+        value: u64,
+    ) -> TxResult<WordAddr> {
         let z = m.alloc_padded(NODE_WORDS);
         m.init(z.offset(KEY), key)?;
         m.init(z.offset(VALUE), value)?;
         m.init(z.offset(LEFT), self.nil.0)?;
         m.init(z.offset(RIGHT), self.nil.0)?;
         m.init(z.offset(COLOR), RED)?;
-        m.init(z.offset(PARENT), y.0)?;
-        if self.is_nil(y) {
+        m.init(z.offset(PARENT), parent.0)?;
+        if self.is_nil(parent) {
             m.write(self.root, z.0)?;
-        } else if key < m.read(y.offset(KEY))? {
-            m.write(y.offset(LEFT), z.0)?;
+        } else if key < m.read(parent.offset(KEY))? {
+            m.write(parent.offset(LEFT), z.0)?;
         } else {
-            m.write(y.offset(RIGHT), z.0)?;
+            m.write(parent.offset(RIGHT), z.0)?;
         }
         self.insert_fixup(m, z)?;
-        Ok(true)
+        Ok(z)
     }
 
     fn insert_fixup<M: Mem>(&self, m: &mut M, mut z: WordAddr) -> TxResult<()> {
@@ -582,6 +641,40 @@ mod tests {
         let ours = t.to_vec(&mut m).unwrap();
         let theirs: Vec<(u64, u64)> = reference.into_iter().collect();
         assert_eq!(ours, theirs);
+    }
+
+    #[test]
+    #[should_panic(expected = "not above the maximum")]
+    fn insert_max_rejects_a_key_below_the_maximum() {
+        let (heap, t) = fresh();
+        let mut m = SetupMem::new(&heap);
+        let max = t.insert_max(&mut m, None, 10, 0).unwrap();
+        let max = t.insert_max(&mut m, Some(max), 20, 0).unwrap();
+        let _ = t.insert_max(&mut m, Some(max), 15, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "no hint given for a non-empty tree")]
+    fn insert_max_rejects_a_missing_hint_on_a_non_empty_tree() {
+        let (heap, t) = fresh();
+        let mut m = SetupMem::new(&heap);
+        t.insert(&mut m, 10, 0).unwrap();
+        let _ = t.insert_max(&mut m, None, 20, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "is not the maximum node")]
+    fn insert_max_rejects_a_hint_with_a_right_child() {
+        let (heap, t) = fresh();
+        let mut m = SetupMem::new(&heap);
+        let mut max = None;
+        for k in [10, 20, 30] {
+            max = Some(t.insert_max(&mut m, max, k, 0).unwrap());
+        }
+        // 20 is the root after the rebalance, with 30 as its right child.
+        let root = WordAddr(m.read(t.root).unwrap());
+        assert_eq!(m.read(root.offset(KEY)).unwrap(), 20);
+        let _ = t.insert_max(&mut m, Some(root), 40, 0);
     }
 
     #[test]

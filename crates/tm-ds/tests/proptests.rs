@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use tm::TmHeap;
-use tm_ds::{SetupMem, TmBitmap, TmHashtable, TmList, TmPQueue, TmQueue, TmRbTree, TmVector};
+use tm_ds::{Mem, SetupMem, TmBitmap, TmHashtable, TmList, TmPQueue, TmQueue, TmRbTree, TmVector};
 
 #[derive(Debug, Clone)]
 enum MapOp {
@@ -52,6 +52,42 @@ proptest! {
         let ours = tree.to_vec(&mut m).unwrap();
         let theirs: Vec<(u64, u64)> = reference.into_iter().collect();
         prop_assert_eq!(ours, theirs);
+    }
+
+    /// A chain of `insert_max` over strictly ascending keys, with
+    /// unrelated allocations in between, leaves the heap the same
+    /// `insert` calls leave.
+    #[test]
+    fn rbtree_insert_max_matches_insert(
+        steps in prop::collection::vec(
+            (1u64..1000, any::<u64>(), prop::option::of((any::<bool>(), 1u64..20))),
+            1..200,
+        )
+    ) {
+        let heap = TmHeap::new();
+        let reference = TmHeap::new();
+        let mut m = SetupMem::new(&heap);
+        let mut r = SetupMem::new(&reference);
+        let tree = TmRbTree::create(&mut m).unwrap();
+        let ref_tree = TmRbTree::create(&mut r).unwrap();
+        let mut key = 0;
+        let mut max = None;
+        for (gap, value, noise) in steps {
+            key += gap;
+            max = Some(tree.insert_max(&mut m, max, key, value).unwrap());
+            prop_assert!(ref_tree.insert(&mut r, key, value).unwrap());
+            if let Some((padded, words)) = noise {
+                for mem in [&mut m, &mut r] {
+                    if padded { mem.alloc_padded(words); } else { mem.alloc(words); }
+                }
+            }
+        }
+        tree.check_invariants(&mut m).unwrap();
+        prop_assert_eq!(heap.allocated_words(), reference.allocated_words());
+        for a in tm::WORDS_PER_LINE..heap.allocated_words() {
+            let a = tm::WordAddr(a);
+            prop_assert_eq!(heap.raw_load(a), reference.raw_load(a));
+        }
     }
 
     #[test]

@@ -17,6 +17,7 @@
 #![warn(missing_docs)]
 
 use stamp_util::{AppReport, Mt19937, VacationParams};
+use tm::fxhash::FxHashMap;
 use tm::txn::TxResult;
 use tm::{TmConfig, TmRuntime, WordAddr};
 use tm_ds::{Mem, SetupMem, TmList, TmRbTree};
@@ -90,11 +91,7 @@ impl Manager {
                 m.write(rec.offset(R_PRICE), price)?;
             }
             None => {
-                let rec = m.alloc_padded(RECORD_WORDS);
-                m.init(rec.offset(R_TOTAL), num)?;
-                m.init(rec.offset(R_USED), 0)?;
-                m.init(rec.offset(R_FREE), num)?;
-                m.init(rec.offset(R_PRICE), price)?;
+                let rec = new_record(m, num, price)?;
                 self.table(kind).insert(m, id, rec.0)?;
             }
         }
@@ -154,11 +151,7 @@ impl Manager {
         if self.customers.contains(m, id)? {
             return Ok(false);
         }
-        let cust = m.alloc_padded(CUSTOMER_WORDS);
-        let list = TmList::create(m)?;
-        let (head, size) = list.as_raw();
-        m.init(cust.offset(0), head.0)?;
-        m.init(cust.offset(1), size.0)?;
+        let cust = new_customer(m)?;
         self.customers.insert(m, id, cust.0)?;
         Ok(true)
     }
@@ -236,8 +229,7 @@ impl Manager {
     /// record satisfies `used + free == total`, and per-item used counts
     /// equal the number of customer reservations referencing the item.
     pub fn check_consistency<M: Mem>(&self, m: &mut M) -> TxResult<bool> {
-        use std::collections::HashMap;
-        let mut used_by_item: HashMap<u64, u64> = HashMap::new();
+        let mut used_by_item: FxHashMap<u64, u64> = FxHashMap::default();
         for (cid, cust) in self.customers.to_vec(m)? {
             let _ = cid;
             let list = self.customer_list(m, WordAddr(cust))?;
@@ -268,21 +260,50 @@ impl Manager {
     }
 }
 
+/// Allocate and fill a reservation record of `num` free seats.
+fn new_record<M: Mem>(m: &mut M, num: u64, price: u64) -> TxResult<WordAddr> {
+    let rec = m.alloc_padded(RECORD_WORDS);
+    m.init(rec.offset(R_TOTAL), num)?;
+    m.init(rec.offset(R_USED), 0)?;
+    m.init(rec.offset(R_FREE), num)?;
+    m.init(rec.offset(R_PRICE), price)?;
+    Ok(rec)
+}
+
+/// Allocate a customer record with an empty reservation list.
+fn new_customer<M: Mem>(m: &mut M) -> TxResult<WordAddr> {
+    let cust = m.alloc_padded(CUSTOMER_WORDS);
+    let list = TmList::create(m)?;
+    let (head, size) = list.as_raw();
+    m.init(cust.offset(0), head.0)?;
+    m.init(cust.offset(1), size.0)?;
+    Ok(cust)
+}
+
 /// Populate the database as STAMP's `manager_initialize` does: `records`
 /// items per table (ids `0..records`) with capacity a multiple of 100
 /// and price in `50..=550`, plus `records` customers.
+///
+/// Ids arrive in ascending order into empty tables, so each insert is
+/// [`TmRbTree::insert_max`] under the previous id's node. The heap ends
+/// up word for word the one `add_item`/`add_customer` would build.
 pub fn populate(m: &mut SetupMem<'_>, params: &VacationParams) -> Manager {
     let mgr = Manager::create(m).expect("setup never aborts");
     let mut rng = Mt19937::new(params.seed);
     for kind in ItemKind::ALL {
+        let table = mgr.table(kind);
+        let mut max = None;
         for id in 0..params.records as u64 {
             let num = (rng.below(5) + 1) * 100;
             let price = rng.below(5) * 10 + 50;
-            mgr.add_item(m, kind, id, num, price).expect("setup");
+            let rec = new_record(m, num, price).expect("setup");
+            max = Some(table.insert_max(m, max, id, rec.0).expect("setup"));
         }
     }
+    let mut max = None;
     for id in 0..params.records as u64 {
-        mgr.add_customer(m, id).expect("setup");
+        let cust = new_customer(m).expect("setup");
+        max = Some(mgr.customers.insert_max(m, max, id, cust.0).expect("setup"));
     }
     mgr
 }
@@ -481,6 +502,57 @@ mod tests {
         );
         // Many more read barriers than write barriers (tree searches).
         assert!(rep.run.stats.p90_read_barriers() > 3 * rep.run.stats.p90_write_barriers());
+    }
+
+    /// The heap `populate` leaves must be the one `add_item` and
+    /// `add_customer` build in the same loop order: simulated cycles
+    /// depend on every allocation address.
+    fn assert_populate_matches_add_path(records: u32) {
+        let params = VacationParams {
+            records,
+            ..small_params()
+        };
+        let heap = tm::TmHeap::new();
+        populate(&mut SetupMem::new(&heap), &params);
+
+        let reference = tm::TmHeap::new();
+        let mut m = SetupMem::new(&reference);
+        let mgr = Manager::create(&mut m).unwrap();
+        let mut rng = Mt19937::new(params.seed);
+        for kind in ItemKind::ALL {
+            for id in 0..records as u64 {
+                let num = (rng.below(5) + 1) * 100;
+                let price = rng.below(5) * 10 + 50;
+                mgr.add_item(&mut m, kind, id, num, price).unwrap();
+            }
+        }
+        for id in 0..records as u64 {
+            assert!(mgr.add_customer(&mut m, id).unwrap());
+        }
+
+        let words = heap.allocated_words();
+        assert_eq!(words, reference.allocated_words(), "records={records}");
+        let differing = (tm::WORDS_PER_LINE..words)
+            .filter(|&a| heap.raw_load(WordAddr(a)) != reference.raw_load(WordAddr(a)))
+            .count();
+        assert_eq!(
+            differing, 0,
+            "records={records}: {differing} of {words} words differ"
+        );
+    }
+
+    #[test]
+    fn populate_heap_is_word_for_word_the_add_path_heap() {
+        for records in [1, 2, 3, 17, 16384] {
+            assert_populate_matches_add_path(records);
+        }
+    }
+
+    /// The paper-scale table (`vacation-high+`/`-low+`, `-r1048576`).
+    #[test]
+    #[ignore = "tier 2: populates 2 x 4 M records"]
+    fn populate_heap_matches_the_add_path_at_paper_scale() {
+        assert_populate_matches_add_path(1_048_576);
     }
 
     #[test]

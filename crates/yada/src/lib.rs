@@ -29,6 +29,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use mesh::{circumcenter, min_angle_deg, Mesh, Point};
 use stamp_util::{AppReport, Mt19937, YadaParams};
+use tm::fxhash::FxHashMap;
 use tm::{TCell, TmConfig, TmRuntime, WordAddr};
 use tm_ds::{Mem, SetupMem, TmQueue};
 
@@ -232,7 +233,7 @@ pub struct MeshSnapshot {
     /// Alive triangles' neighbor links.
     pub neighbors: Vec<[u64; 3]>,
     /// Vertex coordinates by id.
-    pub points: std::collections::HashMap<u64, Point>,
+    pub points: FxHashMap<u64, Point>,
 }
 
 /// Drain the registry and snapshot the alive mesh.
@@ -240,7 +241,7 @@ pub fn snapshot(heap: &tm::TmHeap, problem: &Problem) -> MeshSnapshot {
     let mut m = SetupMem::new(heap);
     let mut triangles = Vec::new();
     let mut neighbors = Vec::new();
-    let mut points = std::collections::HashMap::new();
+    let mut points = FxHashMap::default();
     while let Some(taddr) = problem.registry.pop_front(&mut m).expect("setup") {
         let t = WordAddr(taddr);
         if !problem.mesh.is_alive(&mut m, t).expect("setup") {
@@ -267,16 +268,15 @@ pub fn snapshot(heap: &tm::TmHeap, problem: &Problem) -> MeshSnapshot {
 ///
 /// Checks: positive orientation; mutual neighbor links with a shared
 /// edge; every edge shared by at most two alive triangles; and (for
-/// meshes small enough to afford it) the empty-circumcircle property.
+/// meshes of at most 4000 triangles) the empty-circumcircle property.
 pub fn verify_snapshot(snap: &MeshSnapshot) -> bool {
-    use std::collections::HashMap;
-    let by_addr: HashMap<u64, usize> = snap
+    let by_addr: FxHashMap<u64, usize> = snap
         .triangles
         .iter()
         .enumerate()
         .map(|(i, &(a, _))| (a, i))
         .collect();
-    let mut edge_count: HashMap<(u64, u64), u32> = HashMap::new();
+    let mut edge_count: FxHashMap<(u64, u64), u32> = FxHashMap::default();
     for (i, &(_addr, v)) in snap.triangles.iter().enumerate() {
         let pts = [snap.points[&v[0]], snap.points[&v[1]], snap.points[&v[2]]];
         if mesh::orient2d(pts[0], pts[1], pts[2]) <= 0.0 {
@@ -314,23 +314,118 @@ pub fn verify_snapshot(snap: &MeshSnapshot) -> bool {
     if edge_count.values().any(|&c| c > 2) {
         return false;
     }
-    // Empty-circumcircle check (quadratic; skip for big meshes).
-    if snap.triangles.len() <= 4000 {
-        for &(_, v) in &snap.triangles {
-            let a = snap.points[&v[0]];
-            let b = snap.points[&v[1]];
-            let c = snap.points[&v[2]];
-            for (&vid, &p) in &snap.points {
-                if vid == v[0] || vid == v[1] || vid == v[2] {
-                    continue;
-                }
-                if mesh::in_circle(a, b, c, p) {
-                    return false;
-                }
-            }
-        }
+    if snap.triangles.len() > 4000 {
+        return true;
     }
-    true
+    let sweep = PointSweep::new(&snap.points);
+    snap.triangles
+        .iter()
+        .all(|&(_, v)| sweep.circle_is_empty(v, v.map(|id| snap.points[&id])))
+}
+
+/// The snapshot's points sorted by x, for the empty-circumcircle check:
+/// each triangle tests only the points in its circumcircle's x-slab, and
+/// gets exactly the verdict a test of every point would give.
+struct PointSweep {
+    /// `(point, id)`, ascending by x, then by id.
+    by_x: Vec<(Point, u64)>,
+    /// Diagonal of the points' bounding box (an upper bound on the
+    /// distance between any two of them). Infinite, which turns the
+    /// slab off, if a coordinate is not finite or the points span more
+    /// than 1e50, so nothing in [`Self::circle_slab`] can overflow.
+    diam: f64,
+}
+
+/// Bound on `mesh::in_circle`'s rounding error, as a multiple of `L⁴`
+/// for a point within `L` of all three vertices. Shewchuk's forward
+/// bound for this evaluation order is `(10 + 96ε)ε` times a permanent
+/// of at most `6L⁴`, about `6.7e-15·L⁴`; the slack also covers the
+/// rounding of the circumcentre's orientation and radius below.
+const IN_CIRCLE_ERR: f64 = 1e-13;
+
+impl PointSweep {
+    fn new(points: &FxHashMap<u64, Point>) -> PointSweep {
+        let mut by_x: Vec<(Point, u64)> = points.iter().map(|(&id, &p)| (p, id)).collect();
+        by_x.sort_unstable_by(|(p, i), (q, j)| p.x.total_cmp(&q.x).then(i.cmp(j)));
+        let finite = by_x.iter().all(|(p, _)| p.x.is_finite() && p.y.is_finite());
+        let (y_lo, y_hi) = by_x
+            .iter()
+            .fold((f64::INFINITY, f64::NEG_INFINITY), |(lo, hi), (p, _)| {
+                (lo.min(p.y), hi.max(p.y))
+            });
+        let x_span = by_x.last().map_or(0.0, |(p, _)| p.x - by_x[0].0.x);
+        let diam = x_span.hypot(y_hi - y_lo);
+        let diam = if finite && diam < 1e50 {
+            diam
+        } else {
+            f64::INFINITY
+        };
+        PointSweep { by_x, diam }
+    }
+
+    /// Whether no point but the triangle's own vertices `v` (at `abc`)
+    /// lies strictly inside its circumcircle, by `mesh::in_circle`.
+    fn circle_is_empty(&self, v: [u64; 3], [a, b, c]: [Point; 3]) -> bool {
+        let candidates = match self.circle_slab(a, b, c) {
+            Some((lo, hi)) => {
+                let start = self.by_x.partition_point(|(p, _)| p.x < lo);
+                let end = self.by_x.partition_point(|(p, _)| p.x <= hi);
+                &self.by_x[start..end]
+            }
+            None => &self.by_x[..],
+        };
+        !candidates
+            .iter()
+            .any(|&(p, id)| !v.contains(&id) && mesh::in_circle(a, b, c, p))
+    }
+
+    /// An x-range outside which `in_circle(a, b, c, p)` is false for
+    /// every point `p` of the sweep, or `None` when the triangle is too
+    /// close to collinear (or too large) to bound one, and every point
+    /// must be tested.
+    ///
+    /// `in_circle`'s determinant is `o·(R² − d²)` for a point at
+    /// distance `d` from the circumcentre, with circumradius `R` and
+    /// `o = orient2d(a, b, c)`, positive here. The slab is the circle's
+    /// x-extent widened by `m`, plus `slack` for the rounding of the
+    /// computed centre and radius, so a point outside it has `d ≥ R + m`
+    /// and lies within `L ≤ min(d + R, diam)` of every vertex. Its exact
+    /// determinant is at most `−o·(d − R)·(d + R)` and the computed one
+    /// at most that plus `K·L⁴` (`K` = [`IN_CIRCLE_ERR`]). With
+    /// `s = d + R` it stays ≤ 0 (rejected) when
+    /// `o·(s − 2R) ≥ K·min(s, diam)³` for every `s ≥ 2R + m`. That
+    /// function of `s` is concave up to `diam` and increasing beyond, so
+    /// it is enough for it to hold at `s = diam`, checked below, and at
+    /// `s = 2R + m`, which `m = 27·K·R³/o ≤ R` ensures because
+    /// `2R + m ≤ 3R`.
+    fn circle_slab(&self, a: Point, b: Point, c: Point) -> Option<(f64, f64)> {
+        if !self.diam.is_finite() {
+            return None;
+        }
+        // Circumcentre relative to `a`; its rounding error is a few ε·r
+        // over the sine of the angle at `a`, so the guard (sine ≥ 5e-7)
+        // keeps it near 1e-9·r, well inside `slack`.
+        let (bx, by, cx, cy) = (b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y);
+        let (b2, c2) = (bx * bx + by * by, cx * cx + cy * cy);
+        let d = 2.0 * (bx * cy - by * cx);
+        if d <= 1e-6 * (b2 * c2).sqrt() {
+            return None;
+        }
+        let ux = (cy * b2 - by * c2) / d;
+        let uy = (bx * c2 - cx * b2) / d;
+        let r = ux.hypot(uy);
+        let slack = 1e-6 * (r + a.x.abs());
+        let r_hi = r + slack;
+        let o = d / 2.0;
+        let k = IN_CIRCLE_ERR;
+        let m = 27.0 * k * r_hi.powi(3) / o;
+        if !(m <= r_hi && o * (self.diam - 2.0 * r_hi) >= k * self.diam.powi(3)) {
+            return None;
+        }
+        let centre = a.x + ux;
+        let half = r_hi + slack + m;
+        Some((centre - half, centre + half))
+    }
 }
 
 /// Count skinny triangles in a snapshot.
@@ -407,6 +502,159 @@ mod tests {
             snap.triangles.len()
         );
         assert!(verify_snapshot(&snap), "initial mesh invalid");
+    }
+
+    /// The quadratic empty-circumcircle check the sweep replaced: test
+    /// every point.
+    fn circle_is_empty_quadratic(snap: &MeshSnapshot, v: [u64; 3]) -> bool {
+        let [a, b, c] = v.map(|id| snap.points[&id]);
+        !snap
+            .points
+            .iter()
+            .any(|(id, &p)| !v.contains(id) && mesh::in_circle(a, b, c, p))
+    }
+
+    /// Per-triangle verdicts of the sweep and of the quadratic oracle
+    /// agree; returns how many circles are empty.
+    fn assert_sweep_matches_oracle(snap: &MeshSnapshot, what: &str) -> usize {
+        let sweep = PointSweep::new(&snap.points);
+        let mut empty = 0;
+        for &(_, v) in &snap.triangles {
+            let expected = circle_is_empty_quadratic(snap, v);
+            let got = sweep.circle_is_empty(v, v.map(|id| snap.points[&id]));
+            assert_eq!(got, expected, "{what}: triangle {v:?}");
+            empty += usize::from(got);
+        }
+        empty
+    }
+
+    fn refined_snapshot(init_points: u32, seed: u32) -> MeshSnapshot {
+        let params = YadaParams {
+            min_angle: 20.0,
+            init_points,
+            seed,
+        };
+        let rt = TmRuntime::new(TmConfig::sequential());
+        let (problem, _) = build_initial(rt.heap(), &params);
+        refine_on(&rt, &problem, init_points as u64 * 15 + 2000);
+        snapshot(rt.heap(), &problem)
+    }
+
+    #[test]
+    fn circle_sweep_matches_the_quadratic_check() {
+        // yada's inputs at scales 1 and 4, refined, then with every point
+        // jittered so that many circles hold points.
+        for init_points in [640, 160] {
+            for seed in [9, 1, 2, 3, 4] {
+                let mut snap = refined_snapshot(init_points, seed);
+                let n = snap.triangles.len();
+                let what = format!("{init_points} points, seed {seed}");
+                assert_eq!(assert_sweep_matches_oracle(&snap, &what), n, "{what}");
+                let mut rng = Mt19937::new(seed);
+                for p in snap.points.values_mut() {
+                    p.x += rng.next_f64() - 0.5;
+                    p.y += rng.next_f64() - 0.5;
+                }
+                let empty = assert_sweep_matches_oracle(&snap, &format!("{what}, jittered"));
+                assert!(
+                    empty < n,
+                    "{what}, jittered: the jitter must break some circles"
+                );
+            }
+        }
+    }
+
+    /// A snapshot of `tris` (vertex indices into `pts`, ids are index +
+    /// 1) without neighbor links.
+    fn hand_built(pts: &[Point], tris: &[[u64; 3]]) -> MeshSnapshot {
+        MeshSnapshot {
+            triangles: tris
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (100 + i as u64, t.map(|v| v + 1)))
+                .collect(),
+            neighbors: vec![[0; 3]; tris.len()],
+            points: (1..).zip(pts.iter().copied()).collect(),
+        }
+    }
+
+    fn pt(x: f64, y: f64) -> Point {
+        Point { x, y }
+    }
+
+    /// Probe the edges of `tri`'s slab: each probe sits on or just
+    /// around the circumcircle's leftmost or rightmost point and is
+    /// tested alone with the triangle (plus `frame`, which sets the
+    /// bounding box). The sweep must agree with the oracle on every
+    /// probe; returns how many the oracle found inside.
+    fn probe_circle_extremes(tri: [Point; 3], frame: &[Point]) -> usize {
+        let [a, b, c] = tri;
+        let cc = circumcenter(a, b, c);
+        let r = cc.dist(a);
+        let mut inside = 0;
+        for s in [
+            1.0 - 1e-6,
+            1.0 - 1e-9,
+            1.0 - 1e-12,
+            1.0,
+            1.0 + 1e-12,
+            1.0 + 1e-9,
+        ] {
+            for probe in [pt(cc.x - r * s, cc.y), pt(cc.x + r * s, cc.y)] {
+                let pts: Vec<Point> = [a, b, c, probe].iter().chain(frame).copied().collect();
+                let what = format!("{tri:?}, probe {probe:?}");
+                let empty = assert_sweep_matches_oracle(&hand_built(&pts, &[[0, 1, 2]]), &what);
+                inside += 1 - empty;
+            }
+        }
+        inside
+    }
+
+    #[test]
+    fn slab_edges_get_the_quadratic_verdict() {
+        let frame = [pt(0.0, 0.0), pt(100.0, 100.0)];
+        for seed in [9, 1, 2, 3, 4] {
+            let snap = refined_snapshot(160, seed);
+            let mut inside = 0;
+            for &(_, v) in &snap.triangles {
+                inside += probe_circle_extremes(v.map(|id| snap.points[&id]), &frame);
+            }
+            // At least the probes 1e-6·r inside the circle count.
+            assert!(inside >= 2 * snap.triangles.len(), "seed {seed}: {inside}");
+        }
+    }
+
+    #[test]
+    fn a_diagonal_that_is_not_locally_delaunay_fails_both_checks() {
+        // The long diagonal (0,0)-(8,0) of a flat kite: each triangle's
+        // circumcircle holds the opposite apex.
+        let pts = [pt(0.0, 0.0), pt(4.0, -1.0), pt(8.0, 0.0), pt(4.0, 1.0)];
+        let mut snap = hand_built(&pts, &[[0, 1, 2], [0, 2, 3]]);
+        // Link the shared edge so only the circle test can object.
+        snap.neighbors = vec![[0, 101, 0], [0, 0, 100]];
+        assert_eq!(assert_sweep_matches_oracle(&snap, "kite"), 0);
+        assert!(!verify_snapshot(&snap));
+        // The other diagonal is Delaunay and passes.
+        let mut flipped = hand_built(&pts, &[[0, 1, 3], [1, 2, 3]]);
+        flipped.neighbors = vec![[101, 0, 0], [0, 100, 0]];
+        assert_eq!(assert_sweep_matches_oracle(&flipped, "flipped kite"), 2);
+        assert!(verify_snapshot(&flipped));
+    }
+
+    #[test]
+    fn near_degenerate_triangles_get_the_quadratic_verdict() {
+        // Far points make the bounding box wide enough for big circles.
+        let frame = [pt(-5000.0, -5000.0), pt(5000.0, 5000.0)];
+        let sweep = PointSweep::new(&hand_built(&frame, &[]).points);
+        // A sliver: sine of its widest angle about 4e-3, circumradius
+        // about 1250; its slab is used.
+        let sliver = [pt(0.0, 0.0), pt(10.0, 0.0), pt(5.0, 0.01)];
+        assert!(sweep.circle_slab(sliver[0], sliver[1], sliver[2]).is_some());
+        assert!(probe_circle_extremes(sliver, &frame) >= 2);
+        // Collinear up to rounding: no slab, every point is tested.
+        let flat = [pt(20.0, 0.0), pt(30.0, 0.0), pt(25.0, 1e-9)];
+        assert!(sweep.circle_slab(flat[0], flat[1], flat[2]).is_none());
+        probe_circle_extremes(flat, &frame);
     }
 
     #[test]
