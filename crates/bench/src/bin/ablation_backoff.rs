@@ -6,15 +6,15 @@
 //! intruder (and optionally other variants) with backoff forced on and
 //! off across the systems, reporting retries and simulated cycles.
 
-use bench::{harness_flags, run_variant, selected_variants};
-use stamp_util::Args;
-use tm::{CmPolicy, SystemKind, TmConfig};
+use bench::run_variant;
+use stamp_util::driver::tm_config;
+use tm::{CmPolicy, SystemKind};
 
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, _) = harness_flags(&args);
-    let threads = args.get_u64("threads", 8) as usize;
-    let variants = selected_variants(&filter.or(Some(vec!["intruder".into()])));
+    let f = bench::cli::parse("ablation_backoff");
+    let scale = f.val("scale");
+    let threads = f.val("threads");
+    let variants = bench::cli::variants(&f);
     println!("ABLATION: randomized-linear backoff vs immediate restart ({threads} threads, scale 1/{scale})");
     println!(
         "{:<15} {:<13} {:>14} {:>12} | {:>14} {:>12}",
@@ -25,12 +25,12 @@ fn main() {
             let none = run_variant(
                 v,
                 scale,
-                TmConfig::new(sys, threads).cm(CmPolicy::Immediate),
+                tm_config(&f, sys, threads).cm(CmPolicy::Immediate),
             );
             let blin = run_variant(
                 v,
                 scale,
-                TmConfig::new(sys, threads).cm(CmPolicy::DEFAULT_LINEAR),
+                tm_config(&f, sys, threads).cm(CmPolicy::DEFAULT_LINEAR),
             );
             assert!(none.verified && blin.verified, "{} under {sys}", v.name);
             println!(

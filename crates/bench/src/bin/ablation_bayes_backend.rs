@@ -10,13 +10,14 @@
 //! backend the paper-scale 60k+-cycle transactions with dense read
 //! sets.
 
-use stamp_util::{variant, AppParams, Args};
-use tm::{SystemKind, TmConfig};
+use stamp_util::driver::tm_config;
+use stamp_util::{variant, AppParams};
+use tm::SystemKind;
 
 fn main() {
-    let args = Args::from_env();
-    let threads = args.get_u64("threads", 16) as usize;
-    let scale = args.get_u32("scale", 1).max(1);
+    let f = bench::cli::parse("ablation_bayes_backend");
+    let threads = f.val("threads");
+    let scale = f.val("scale");
     let AppParams::Bayes(mut p) = variant("bayes").unwrap().scaled(scale) else {
         unreachable!()
     };
@@ -32,7 +33,7 @@ fn main() {
             SystemKind::EagerHtm,
             SystemKind::LazyStm,
         ] {
-            let rep = bayes::run(&p, TmConfig::new(sys, threads));
+            let rep = bayes::run(&p, tm_config(&f, sys, threads));
             println!(
                 "{:<10} {:<13} {:>12} {:>10.0} {:>8} {:>8.2} {:>8}",
                 name,

@@ -10,17 +10,17 @@
 //! and — for `karma`/`adaptive` — priority-arbitration wins/losses and
 //! serialized commits.
 //!
-//! Flags: `--scale N`, `--variants a,b,...`, `--threadlist 1,2,...`,
-//! `--system <label>` (force one system, e.g. `--system "Lazy STM"`),
-//! `--smoke` (CI-sized: scale ≥ 64, threads {2,8}), `--json <path>`
-//! (emit one JSON row per run, e.g. `results/BENCH_ablation_cm.json`),
-//! `--sched-seed S` (scheduler replay seed; pinned to the default so
-//! two runs of this ablation are byte-identical).
+//! `ablation_cm --help` lists the flags: `--system` forces one system
+//! (e.g. `--system "Lazy STM"`), `--smoke` is the CI-sized sweep
+//! (scale ≥ 64, threads {2,8}), `--json results/BENCH_ablation_cm.json`
+//! keeps one row per run.
+
+use std::path::PathBuf;
 
 use bench::json::JsonSink;
-use bench::{harness_flags, run_variant, selected_variants};
-use stamp_util::Args;
-use tm::{CmPolicy, SchedMode, SystemKind, TmConfig, DEFAULT_SCHED_SEED};
+use bench::run_variant;
+use stamp_util::driver::tm_config;
+use tm::{CmPolicy, SystemKind};
 
 /// The system on which contention management matters most for each
 /// default variant (see module docs).
@@ -31,46 +31,20 @@ fn pathology_system(variant: &str) -> SystemKind {
     }
 }
 
-fn parse_system(label: &str) -> SystemKind {
-    let norm: String = label
-        .chars()
-        .filter(|c| c.is_ascii_alphanumeric())
-        .collect::<String>()
-        .to_ascii_lowercase();
-    SystemKind::ALL_TM
-        .into_iter()
-        .find(|s| {
-            s.label()
-                .chars()
-                .filter(|c| c.is_ascii_alphanumeric())
-                .collect::<String>()
-                .to_ascii_lowercase()
-                == norm
-        })
-        .unwrap_or_else(|| {
-            panic!(
-                "--system {label:?} is not a TM system (valid: {:?})",
-                SystemKind::ALL_TM.map(|s| s.label())
-            )
-        })
-}
-
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, threads) = harness_flags(&args);
-    let smoke = args.get_bool("smoke");
+    let f = bench::cli::parse("ablation_cm");
+    let smoke = f.on("smoke");
+    let scale: u32 = f.val("scale");
     let scale = if smoke { scale.max(64) } else { scale };
-    let threads: Vec<usize> = if smoke { vec![2, 8] } else { threads };
-    let forced = args.get("system").map(parse_system);
-    let sched_seed = args.get_u64("sched-seed", DEFAULT_SCHED_SEED);
-    let json_path = args.get("json").map(std::path::PathBuf::from);
+    let threads: Vec<usize> = if smoke {
+        vec![2, 8]
+    } else {
+        f.val("threadlist")
+    };
+    let forced = f.opt::<SystemKind>("system").copied();
+    let json_path = f.opt::<PathBuf>("json");
     let mut sink = JsonSink::new();
-    let variants = selected_variants(&filter.or(Some(vec![
-        "genome".into(),
-        "intruder".into(),
-        "vacation-high".into(),
-        "kmeans-high".into(),
-    ])));
+    let variants = bench::cli::variants(&f);
 
     println!("ABLATION: contention-management policies (scale 1/{scale})");
     println!(
@@ -90,10 +64,7 @@ fn main() {
         let sys = forced.unwrap_or_else(|| pathology_system(v.name));
         for policy in CmPolicy::ALL {
             for &t in &threads {
-                let cfg = TmConfig::new(sys, t)
-                    .cm(policy)
-                    .sched(SchedMode::MinClock)
-                    .sched_seed(sched_seed);
+                let cfg = tm_config(&f, sys, t).cm(policy);
                 let rep = run_variant(v, scale, cfg);
                 let s = &rep.run.stats;
                 println!(
@@ -130,7 +101,6 @@ fn main() {
         println!("{:-<132}", "");
     }
     if let Some(path) = json_path {
-        sink.write(&path);
-        eprintln!("wrote {} rows to {}", sink.len(), path.display());
+        sink.write(path);
     }
 }

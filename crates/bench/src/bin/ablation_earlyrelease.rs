@@ -6,18 +6,19 @@
 //! grid: guaranteed capacity overflow (lazy HTM serializes; eager HTM
 //! floods its Bloom filter with false conflicts).
 
-use stamp_util::{Args, LabyrinthParams};
-use tm::{SystemKind, TmConfig};
+use stamp_util::driver::tm_config;
+use stamp_util::LabyrinthParams;
+use tm::SystemKind;
 
 fn main() {
-    let args = Args::from_env();
-    let threads = args.get_u64("threads", 4) as usize;
+    let f = bench::cli::parse("ablation_earlyrelease");
+    let threads = f.val("threads");
     let params = LabyrinthParams {
-        x: args.get_u32("x", 32),
-        y: args.get_u32("y", 32),
-        z: args.get_u32("z", 3),
-        paths: args.get_u32("n", 48),
-        seed: args.get_u32("seed", 5),
+        x: f.val("x"),
+        y: f.val("y"),
+        z: f.val("z"),
+        paths: f.val("n"),
+        seed: f.val("seed"),
     };
     let input = labyrinth::generate(&params);
     println!(
@@ -29,8 +30,8 @@ fn main() {
         "system", "cycles(ER on)", "retries", "routed", "cycles(ER off)", "retries", "routed"
     );
     for sys in [SystemKind::LazyHtm, SystemKind::EagerHtm] {
-        let (r_on, rep_on) = labyrinth::route_tm_with(&input, TmConfig::new(sys, threads), true);
-        let (r_off, rep_off) = labyrinth::route_tm_with(&input, TmConfig::new(sys, threads), false);
+        let (r_on, rep_on) = labyrinth::route_tm_with(&input, tm_config(&f, sys, threads), true);
+        let (r_off, rep_off) = labyrinth::route_tm_with(&input, tm_config(&f, sys, threads), false);
         assert!(labyrinth::verify(&input, &r_on), "invalid (on) under {sys}");
         assert!(
             labyrinth::verify(&input, &r_off),

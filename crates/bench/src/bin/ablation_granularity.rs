@@ -5,16 +5,15 @@
 //! conflicts that line-granularity hardware detection suffers. This
 //! harness runs the STMs at both granularities to isolate the effect.
 
-use bench::{harness_flags, run_variant, selected_variants};
-use stamp_util::Args;
-use tm::{Granularity, SystemKind, TmConfig};
+use bench::run_variant;
+use stamp_util::driver::tm_config;
+use tm::{Granularity, SystemKind};
 
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, _) = harness_flags(&args);
-    let threads = args.get_u64("threads", 8) as usize;
-    let variants =
-        selected_variants(&filter.or(Some(vec!["bayes".into(), "vacation-high".into()])));
+    let f = bench::cli::parse("ablation_granularity");
+    let scale = f.val("scale");
+    let threads = f.val("threads");
+    let variants = bench::cli::variants(&f);
     println!(
         "ABLATION: STM conflict granularity word vs line ({threads} threads, scale 1/{scale})"
     );
@@ -27,12 +26,12 @@ fn main() {
             let word = run_variant(
                 v,
                 scale,
-                TmConfig::new(sys, threads).stm_granularity(Granularity::Word),
+                tm_config(&f, sys, threads).stm_granularity(Granularity::Word),
             );
             let line = run_variant(
                 v,
                 scale,
-                TmConfig::new(sys, threads).stm_granularity(Granularity::Line),
+                tm_config(&f, sys, threads).stm_granularity(Granularity::Line),
             );
             assert!(word.verified && line.verified, "{} under {sys}", v.name);
             println!(

@@ -4,15 +4,15 @@
 //! more false conflicts — the same mechanism that hurts the eager HTM
 //! when it overflows into its Bloom filter.
 
-use bench::{harness_flags, run_variant, selected_variants};
-use stamp_util::Args;
-use tm::{SystemKind, TmConfig};
+use bench::run_variant;
+use stamp_util::driver::tm_config;
+use tm::SystemKind;
 
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, _) = harness_flags(&args);
-    let threads = args.get_u64("threads", 8) as usize;
-    let variants = selected_variants(&filter.or(Some(vec!["vacation-high".into()])));
+    let f = bench::cli::parse("ablation_sigsize");
+    let scale = f.val("scale");
+    let threads = f.val("threads");
+    let variants = bench::cli::variants(&f);
     let sizes = [256usize, 512, 1024, 2048, 8192];
     println!("ABLATION: hybrid signature size ({threads} threads, scale 1/{scale})");
     print!("{:<15} {:<13}", "variant", "system");
@@ -24,7 +24,7 @@ fn main() {
         for sys in [SystemKind::LazyHybrid, SystemKind::EagerHybrid] {
             print!("{:<15} {:<13}", v.name, sys.label());
             for s in sizes {
-                let rep = run_variant(v, scale, TmConfig::new(sys, threads).signature_bits(s));
+                let rep = run_variant(v, scale, tm_config(&f, sys, threads).signature_bits(s));
                 assert!(rep.verified, "{} under {sys} @{s}b", v.name);
                 print!(
                     "{:>16}",

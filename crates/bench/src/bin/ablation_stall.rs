@@ -7,19 +7,15 @@
 //! management; this harness quantifies that remark on the
 //! high-contention applications.
 
-use bench::{harness_flags, run_variant, selected_variants};
-use stamp_util::Args;
-use tm::{HtmConflictPolicy, SystemKind, TmConfig};
+use bench::run_variant;
+use stamp_util::driver::tm_config;
+use tm::{HtmConflictPolicy, SystemKind};
 
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, _) = harness_flags(&args);
-    let threads = args.get_u64("threads", 16) as usize;
-    let variants = selected_variants(&filter.or(Some(vec![
-        "intruder".into(),
-        "vacation-high".into(),
-        "yada".into(),
-    ])));
+    let f = bench::cli::parse("ablation_stall");
+    let scale = f.val("scale");
+    let threads = f.val("threads");
+    let variants = bench::cli::variants(&f);
     println!(
         "ABLATION: eager-HTM requester-aborts (paper) vs requester-stalls (LogTM) — {threads} threads, scale 1/{scale}"
     );
@@ -31,13 +27,13 @@ fn main() {
         let abort = run_variant(
             v,
             scale,
-            TmConfig::new(SystemKind::EagerHtm, threads)
+            tm_config(&f, SystemKind::EagerHtm, threads)
                 .htm_conflict(HtmConflictPolicy::RequesterAborts),
         );
         let stall = run_variant(
             v,
             scale,
-            TmConfig::new(SystemKind::EagerHtm, threads)
+            tm_config(&f, SystemKind::EagerHtm, threads)
                 .htm_conflict(HtmConflictPolicy::RequesterStalls),
         );
         assert!(abort.verified && stall.verified, "{}", v.name);

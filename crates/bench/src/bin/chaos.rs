@@ -24,14 +24,17 @@
 //! Modes: full sweep (default; 3 rates × 8 seed pairs × 6 systems ×
 //! {2,4,8} threads) or `--smoke` (2 rates × 30 pairs × 2 systems at 4
 //! threads — the CI gate). `--variants <one>` picks the application
-//! (default genome), `--scale N` the workload divisor.
+//! (default genome), `--scale N` the workload divisor. The sweep sets
+//! every run's scheduler, faults, watchdog and sanitizer itself; only
+//! `--cm`, `--prof` and `--trace` (or their `TM_*` variables) reach it.
 
 use std::path::{Path, PathBuf};
 
 use bench::json::{report_row, JsonSink};
-use bench::{run_variant, selected_variants};
-use stamp_util::{AppReport, Args, Variant};
-use tm::{FaultConfig, SchedMode, SystemKind, TmConfig, WatchdogConfig};
+use bench::run_variant;
+use stamp_util::driver::tm_config;
+use stamp_util::{AppReport, Flags, Variant};
+use tm::{FaultConfig, SchedMode, SystemKind, WatchdogConfig};
 
 /// One point on the fault-rate axis. Rates are per-mille per probe
 /// (capacity above 4 lines, interrupt per quantum, signature false
@@ -102,6 +105,7 @@ fn stats_key(rep: &AppReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, Vec<u6
 /// One faulted run; panics with an exact repro line if any robustness
 /// invariant fails.
 fn run_one(
+    f: &Flags,
     v: &Variant,
     sys: SystemKind,
     threads: usize,
@@ -109,7 +113,7 @@ fn run_one(
     fault: FaultConfig,
     sched_seed: u64,
 ) -> AppReport {
-    let cfg = TmConfig::new(sys, threads)
+    let cfg = tm_config(f, sys, threads)
         .verify(true)
         .sched(SchedMode::MinClock)
         .sched_seed(sched_seed)
@@ -162,6 +166,7 @@ fn results_dir() -> PathBuf {
 
 #[allow(clippy::too_many_arguments)]
 fn sweep(
+    f: &Flags,
     v: &Variant,
     systems: &[SystemKind],
     threads: &[usize],
@@ -203,7 +208,7 @@ fn sweep(
                 let base = run_variant(
                     v,
                     scale,
-                    TmConfig::new(sys, t)
+                    tm_config(f, sys, t)
                         .sched(SchedMode::MinClock)
                         .sched_seed(pairs[0].0),
                 );
@@ -212,7 +217,7 @@ fn sweep(
                 let mut first: Option<AppReport> = None;
                 for &(ss, fs) in pairs {
                     let fc = rate.cfg.with_seed(fs);
-                    let rep = run_one(v, sys, t, scale, fc, ss);
+                    let rep = run_one(f, v, sys, t, scale, fc, ss);
                     let s = &rep.run.stats;
                     cell.runs += 1;
                     cell.cycles += rep.run.sim_cycles;
@@ -236,7 +241,7 @@ fn sweep(
                 }
                 // Replay determinism: the first pair again, bit for bit.
                 let (ss0, fs0) = pairs[0];
-                let replay = run_one(v, sys, t, scale, rate.cfg.with_seed(fs0), ss0);
+                let replay = run_one(f, v, sys, t, scale, rate.cfg.with_seed(fs0), ss0);
                 assert_eq!(
                     stats_key(first.as_ref().expect("at least one pair")),
                     stats_key(&replay),
@@ -271,16 +276,10 @@ fn sweep(
 }
 
 fn main() {
-    let args = Args::from_env();
-    let smoke = args.get_bool("smoke");
-    let scale = args.get_u32("scale", 64).max(1);
-    let filter = args
-        .get("variants")
-        .map(|s| vec![s.trim().to_string()])
-        .or(Some(vec!["genome".to_string()]));
-    let variants = selected_variants(&filter);
-    assert_eq!(variants.len(), 1, "chaos sweeps exactly one variant");
-    let v = &variants[0];
+    let f = bench::cli::parse("chaos");
+    let smoke = f.on("smoke");
+    let scale = f.val("scale");
+    let v = &f.val::<Variant>("variants");
     let all_rates = rates();
     let mut sink = JsonSink::new();
     let mut out = String::new();
@@ -295,6 +294,7 @@ fn main() {
             .filter(|r| r.label != "med")
             .collect::<Vec<_>>();
         sweep(
+            &f,
             v,
             &[SystemKind::EagerHtm, SystemKind::LazyStm],
             &[4],
@@ -307,6 +307,7 @@ fn main() {
         println!("chaos --smoke: all runs sanitizer-clean, exact, and live");
     } else {
         let high_trips = sweep(
+            &f,
             v,
             &SystemKind::ALL_TM,
             &[2, 4, 8],
@@ -329,8 +330,7 @@ fn main() {
         println!("wrote {}", txt.display());
     }
 
-    if let Some(path) = args.get("json").map(PathBuf::from) {
-        sink.write(&path);
-        eprintln!("wrote {} rows to {}", sink.len(), path.display());
+    if let Some(path) = f.opt::<PathBuf>("json") {
+        sink.write(path);
     }
 }

@@ -4,27 +4,26 @@
 //!
 //! Speedup is `sequential simulated cycles / system simulated cycles`,
 //! with the sequential baseline free of any annotation overhead —
-//! exactly the paper's normalization.
-//!
-//! Flags: `--scale N` (shrink workloads), `--variants a,b,...`,
-//! `--threadlist 1,2,4,8,16`, `--csv` (machine-readable rows only),
-//! `--json <path>` (append the rows as JSON, e.g.
-//! `results/BENCH_figure1.json`).
+//! exactly the paper's normalization. `figure1 --help` lists the
+//! flags; `--json results/BENCH_figure1.json` keeps the rows.
+
+use std::path::PathBuf;
 
 use bench::json::JsonSink;
-use bench::{figure1_systems, harness_flags, run_variant, selected_variants, sequential_cycles};
-use stamp_util::Args;
-use tm::{SystemKind, TmConfig};
+use bench::{figure1_systems, run_variant, sequential_cycles};
+use stamp_util::driver::tm_config;
+use tm::SystemKind;
 
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, threads) = harness_flags(&args);
-    let csv = args.get_bool("csv");
-    let json_path = args.get("json").map(std::path::PathBuf::from);
+    let f = bench::cli::parse("figure1");
+    let scale = f.val("scale");
+    let threads: Vec<usize> = f.val("threadlist");
+    let csv = f.on("csv");
+    let json_path = f.opt::<PathBuf>("json");
     let mut sink = JsonSink::new();
-    let plot = args.get_bool("plot");
-    let with_lock = args.get_bool("with-lock");
-    let variants = selected_variants(&filter);
+    let plot = f.on("plot");
+    let with_lock = f.on("with-lock");
+    let variants = bench::cli::variants(&f);
     let systems: Vec<SystemKind> = figure1_systems()
         .into_iter()
         .chain(with_lock.then_some(SystemKind::GlobalLock))
@@ -35,7 +34,7 @@ fn main() {
         println!("FIGURE 1: Speedup over sequential (scale 1/{scale})");
     }
     for v in &variants {
-        let baseline = sequential_cycles(v, scale);
+        let baseline = sequential_cycles(v, scale, &f);
         if !csv {
             println!();
             println!("{} (sequential: {} cycles)", v.name, baseline);
@@ -50,7 +49,7 @@ fn main() {
             let mut retries_at_max = 0.0;
             let mut row = Vec::new();
             for &t in &threads {
-                let rep = run_variant(v, scale, TmConfig::new(sys, t));
+                let rep = run_variant(v, scale, tm_config(&f, sys, t));
                 let speedup = baseline as f64 / rep.run.sim_cycles.max(1) as f64;
                 retries_at_max = rep.run.stats.retries_per_txn();
                 if json_path.is_some() {
@@ -98,7 +97,6 @@ fn main() {
         }
     }
     if let Some(path) = json_path {
-        sink.write(&path);
-        eprintln!("wrote {} rows to {}", sink.len(), path.display());
+        sink.write(path);
     }
 }

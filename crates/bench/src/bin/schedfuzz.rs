@@ -11,7 +11,8 @@
 //!   ([`SchedMode::MinClock`]): each run must be sanitizer-clean and
 //!   app-verified; seed 0 is run twice and must replay bit-identically.
 //! * `--pct N` — same, under PCT-style adversarial priority dispatch
-//!   ([`SchedMode::Pct`]); `--gap G` sets the mean change-point gap.
+//!   ([`SchedMode::Pct`]); `--sched-gap G` sets the mean change-point
+//!   gap.
 //! * `--smoke` — the CI gate: 30 seeds × {genome, vacation-high} ×
 //!   {eager HTM, lazy STM} × both modes at 4 threads, then 20 seeds of
 //!   the same matrix under min-clock at 16 threads, sanitizer on, plus a
@@ -20,34 +21,25 @@
 //!   `results/golden/*.json` cycle-count regression files (see
 //!   [`bench::golden`]).
 //!
-//! Common flags: `--variants a,b,...`, `--systems eager-htm,...`,
-//! `--threads N`, `--scale N`, `--seed0 S` (first seed of a sweep),
-//! `--json <path>`.
+//! `schedfuzz --help` lists the flags. The fuzzing modes build each
+//! run over the shared TM rows (`--cm`, `--fault`, `--watchdog`,
+//! `--prof` and their `TM_*` variables); the golden files are pinned
+//! and take none of them.
 //!
-//! `--faults <spec>` composes fault injection (the `TM_FAULT` grammar,
-//! see `tm::fault`) with schedule fuzzing: each run derives its fault
+//! `--fault <spec>` (or `TM_FAULT`, grammar in `tm::fault`) composes
+//! fault injection with schedule fuzzing: each run derives its fault
 //! seed from the spec's seed and the scheduler seed, so one sweep
 //! explores (schedule × fault) space while staying an exact repro.
 //! Faulted runs additionally assert the liveness invariants
 //! (commits + aborts == attempts, every thread commits).
 
-use bench::json::{report_row, JsonSink};
-use bench::{golden, run_variant, selected_variants};
-use stamp_util::{AppReport, Args, Variant};
-use tm::{FaultConfig, SchedMode, SystemKind, TmConfig};
+use std::path::PathBuf;
 
-fn parse_systems(args: &Args) -> Vec<SystemKind> {
-    match args.get("systems") {
-        None => vec![SystemKind::EagerHtm, SystemKind::LazyStm],
-        Some(list) => list
-            .split(',')
-            .map(|s| {
-                SystemKind::parse(s.trim())
-                    .unwrap_or_else(|| panic!("unknown system {s:?} in --systems"))
-            })
-            .collect(),
-    }
-}
+use bench::json::{report_row, JsonSink};
+use bench::{golden, run_variant};
+use stamp_util::driver::tm_config;
+use stamp_util::{AppReport, Flags, Variant};
+use tm::{FaultConfig, SchedMode, SystemKind};
 
 /// Statistics that must be bit-identical between two runs of the same
 /// configuration (everything the engine reports except wall time).
@@ -82,24 +74,32 @@ fn fault_at(spec: &FaultConfig, sched_seed: u64) -> FaultConfig {
     )
 }
 
+/// The `--fault` spec the runs derive their fault profiles from.
+fn fault_spec(f: &Flags) -> Option<FaultConfig> {
+    f.opt::<FaultConfig>("fault")
+        .copied()
+        .filter(FaultConfig::enabled)
+}
+
 /// One fuzz run: sanitizer recording every transaction, one scheduler
 /// seed. Panics (with a repro line) on any violation.
 #[allow(clippy::too_many_arguments)]
 fn fuzz_one(
+    f: &Flags,
     v: &Variant,
     sys: SystemKind,
     threads: usize,
     scale: u32,
     mode: SchedMode,
     sched_seed: u64,
-    faults: Option<&FaultConfig>,
 ) -> AppReport {
-    let mut cfg = TmConfig::new(sys, threads)
+    let faults = fault_spec(f);
+    let mut cfg = tm_config(f, sys, threads)
         .verify(true)
         .sched(mode)
         .sched_seed(sched_seed);
     let mut fault_note = String::new();
-    if let Some(spec) = faults {
+    if let Some(spec) = &faults {
         let fc = fault_at(spec, sched_seed);
         fault_note = format!(" TM_FAULT={}", fc.spec());
         cfg = cfg.fault(fc);
@@ -134,6 +134,7 @@ fn fuzz_one(
 
 #[allow(clippy::too_many_arguments)]
 fn sweep(
+    f: &Flags,
     variants: &[Variant],
     systems: &[SystemKind],
     threads: usize,
@@ -141,9 +142,9 @@ fn sweep(
     mode: SchedMode,
     seed0: u64,
     seeds: u64,
-    faults: Option<&FaultConfig>,
     sink: &mut JsonSink,
 ) {
+    let faults = fault_spec(f);
     println!(
         "SWEEP mode={} seeds={seed0}..{} threads={threads} scale=1/{scale}{}",
         mode.label(),
@@ -159,7 +160,7 @@ fn sweep(
             let mut first: Option<AppReport> = None;
             for i in 0..seeds {
                 let seed = seed0 + i;
-                let rep = fuzz_one(v, sys, threads, scale, mode, seed, faults);
+                let rep = fuzz_one(f, v, sys, threads, scale, mode, seed);
                 println!(
                     "{:<14} {:<12} {:>10} {:>14} {:>9.2} {:>8} | clean",
                     v.name,
@@ -173,7 +174,7 @@ fn sweep(
                     .str("sched", mode.label())
                     .u64("sched_seed", seed)
                     .u64("scale", scale as u64);
-                if let Some(spec) = faults {
+                if let Some(spec) = &faults {
                     // Only faulted rows carry the fault columns, so the
                     // fault-free output (incl. goldens) stays
                     // byte-identical to the pre-fault harness.
@@ -191,7 +192,7 @@ fn sweep(
             }
             // Replay determinism: the first seed, run again, must
             // reproduce every statistic bit for bit.
-            let replay = fuzz_one(v, sys, threads, scale, mode, seed0, faults);
+            let replay = fuzz_one(f, v, sys, threads, scale, mode, seed0);
             let first = first.expect("at least one seed");
             assert_eq!(
                 stats_key(&first),
@@ -207,8 +208,8 @@ fn sweep(
 
 /// The CI smoke gate (see module docs). Everything is asserted; output
 /// is only progress reporting.
-fn smoke(scale: u32, sink: &mut JsonSink) {
-    let variants = selected_variants(&Some(vec!["genome".into(), "vacation-high".into()]));
+fn smoke(f: &Flags, scale: u32, sink: &mut JsonSink) {
+    let variants = ["genome", "vacation-high"].map(|n| stamp_util::variant(n).expect("registered"));
     let systems = [SystemKind::EagerHtm, SystemKind::LazyStm];
     for mode in [
         SchedMode::MinClock,
@@ -216,10 +217,11 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
             avg_gap: tm::DEFAULT_PCT_GAP,
         },
     ] {
-        sweep(&variants, &systems, 4, scale, mode, 0, 30, None, sink);
+        sweep(f, &variants, &systems, 4, scale, mode, 0, 30, sink);
     }
     // The paper's headline thread count.
     sweep(
+        f,
         &variants,
         &systems,
         16,
@@ -227,7 +229,6 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
         SchedMode::MinClock,
         0,
         20,
-        None,
         sink,
     );
     // Byte-identical JSON proof: render the same mini-report twice.
@@ -235,7 +236,7 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
         let mut s = JsonSink::new();
         for v in &variants {
             for &sys in &systems {
-                let rep = fuzz_one(v, sys, 4, scale, SchedMode::MinClock, 1, None);
+                let rep = fuzz_one(f, v, sys, 4, scale, SchedMode::MinClock, 1);
                 s.push(report_row(v.name, &rep).u64("sched_seed", 1));
             }
         }
@@ -250,17 +251,16 @@ fn smoke(scale: u32, sink: &mut JsonSink) {
 }
 
 fn main() {
-    let args = Args::from_env();
-    let scale = args.get_u32("scale", 64).max(1);
-    let threads = args.get_u64("threads", 4) as usize;
-    let seed0 = args.get_u64("seed0", 0);
-    let json_path = args.get("json").map(std::path::PathBuf::from);
+    let f = bench::cli::parse("schedfuzz");
+    let scale: u32 = f.val("scale");
+    let threads = f.val("threads");
+    let seed0 = f.val("seed0");
     let mut sink = JsonSink::new();
 
-    if args.get_bool("golden") {
+    if f.on("golden") {
         let dir = golden::golden_dir();
         let variants = stamp_util::sim_variants();
-        if args.get_bool("check") {
+        if f.on("check") {
             let mut failed = 0;
             for v in &variants {
                 match golden::check_variant(&dir, v) {
@@ -282,58 +282,42 @@ fn main() {
         return;
     }
 
-    if args.get_bool("smoke") {
-        smoke(scale.max(64), &mut sink);
+    if f.on("smoke") {
+        smoke(&f, scale.max(64), &mut sink);
     } else {
-        let variants = selected_variants(&args.get("variants").map(|v| {
-            v.split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect()
-        }));
-        let systems = parse_systems(&args);
-        let faults = args.get("faults").map(|spec| {
-            let fc = FaultConfig::parse(spec).unwrap_or_else(|e| panic!("--faults: {e}"));
-            assert!(fc.enabled(), "--faults spec is a no-op: {spec:?}");
-            fc
-        });
-        let pct_seeds = args.get_u64("pct", 0);
-        let sweep_seeds = args.get_u64("sweep", 0);
+        let variants = bench::cli::variants(&f);
+        let systems: Vec<SystemKind> = f.val("systems");
+        let pct_seeds = f.val("pct");
+        let sweep_seeds = f.val("sweep");
         if pct_seeds == 0 && sweep_seeds == 0 {
             eprintln!("usage: schedfuzz --smoke | --sweep N | --pct N | --golden [--check]");
             std::process::exit(2);
         }
         if sweep_seeds > 0 {
+            let mode = SchedMode::MinClock;
             sweep(
+                &f,
                 &variants,
                 &systems,
                 threads,
                 scale,
-                SchedMode::MinClock,
+                mode,
                 seed0,
                 sweep_seeds,
-                faults.as_ref(),
                 &mut sink,
             );
         }
         if pct_seeds > 0 {
-            let gap = args.get_u64("gap", tm::DEFAULT_PCT_GAP).max(1);
+            let mode = SchedMode::Pct {
+                avg_gap: f.val("sched-gap"),
+            };
             sweep(
-                &variants,
-                &systems,
-                threads,
-                scale,
-                SchedMode::Pct { avg_gap: gap },
-                seed0,
-                pct_seeds,
-                faults.as_ref(),
-                &mut sink,
+                &f, &variants, &systems, threads, scale, mode, seed0, pct_seeds, &mut sink,
             );
         }
     }
 
-    if let Some(path) = json_path {
-        sink.write(&path);
-        eprintln!("wrote {} rows to {}", sink.len(), path.display());
+    if let Some(path) = f.opt::<PathBuf>("json") {
+        sink.write(path);
     }
 }

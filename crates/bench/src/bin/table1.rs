@@ -3,6 +3,7 @@
 //! row checked against this reproduction's actual properties.
 
 fn main() {
+    bench::cli::parse("table1");
     println!("TABLE I: Benchmark suites used to evaluate TM systems");
     println!("{:-<66}", "");
     println!(

@@ -4,6 +4,7 @@
 use stamp_util::AppKind;
 
 fn main() {
+    bench::cli::parse("table2");
     println!("TABLE II: The eight applications in the STAMP suite");
     println!("{:-<78}", "");
     println!("{:<12} {:<32} Description", "Application", "Domain");

@@ -5,12 +5,13 @@
 //! with 16 threads, as in §V-A) and prints the paper's labels alongside
 //! for comparison.
 //!
-//! Flags: `--scale N` (default 4 — qualitative labels are stable under
-//! scaling), `--threads N`.
+//! `--scale` defaults to 4: the qualitative labels are stable under
+//! scaling.
 
 use bench::run_variant;
-use stamp_util::{variant, Args};
-use tm::{SystemKind, TmConfig};
+use stamp_util::driver::tm_config;
+use stamp_util::variant;
+use tm::SystemKind;
 
 /// The paper's Table III rows: (app, tx length, r/w set, tx time,
 /// contention).
@@ -36,9 +37,9 @@ fn bucket3(v: f64, lo: f64, hi: f64) -> &'static str {
 }
 
 fn main() {
-    let args = Args::from_env();
-    let scale = args.get_u32("scale", 4).max(1);
-    let threads = args.get_u64("threads", 16) as usize;
+    let f = bench::cli::parse("table3");
+    let scale = f.val("scale");
+    let threads = f.val("threads");
     println!("TABLE III: Qualitative transactional characteristics (measured at scale 1/{scale}, {threads} threads, lazy HTM)");
     println!(
         "{:<15} {:<22} {:<22} {:<18} {:<18}",
@@ -51,7 +52,7 @@ fn main() {
     println!("{:-<100}", "");
     for (name, p_len, p_set, p_time, p_cont) in PAPER {
         let v = variant(name).expect("known variant");
-        let rep = run_variant(&v, scale, TmConfig::new(SystemKind::LazyHtm, threads));
+        let rep = run_variant(&v, scale, tm_config(&f, SystemKind::LazyHtm, threads));
         assert!(rep.verified, "{name} failed verification");
         let s = &rep.run.stats;
         let len_label = bucket3(s.mean_txn_len(), 150.0, 3_000.0);

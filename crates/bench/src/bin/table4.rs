@@ -8,24 +8,24 @@
 //! conflict lines. Every run asserts the profiler's accounting
 //! invariant (buckets sum exactly to each thread's clock).
 //!
-//! Flags:
-//!
-//! * `--json [path]` — emit the JSON rows (bare flag → stdout);
-//! * `--write` / `--check` — (re)generate or byte-verify the pinned
-//!   `results/table4.json` artifact (scale 1/64, 4 threads, golden
-//!   scheduler seed — see [`bench::table4`]);
-//! * `--smoke` — the CI gate: all eight apps on eager HTM + lazy STM
-//!   with the invariant asserted, plus a byte-identical double render;
-//! * `--scale N`, `--threads N`, `--variants a,b,...` — ad-hoc runs;
-//! * `--list` — the 30 recommended configurations with their original
-//!   command-line arguments (the paper's literal Table IV listing).
+//! Flags (`table4 --help`): `--write` / `--check` (re)generate or
+//! byte-verify the pinned `results/table4.json` artifact (scale 1/64,
+//! 4 threads, golden scheduler seed — see [`bench::table4`]); `--smoke`
+//! is the CI gate (all eight apps on eager HTM + lazy STM with the
+//! invariant asserted, plus a byte-identical double render); `--list`
+//! prints the 30 recommended configurations with their original
+//! command-line arguments (the paper's literal Table IV listing).
+//! Every run uses the pinned configuration, so no `TM_*` variable but
+//! `TM_TRACE` reaches it.
+
+use std::path::PathBuf;
 
 use bench::json::JsonSink;
+use bench::pct;
 use bench::table4::{
-    characterize, check_table4, table4_apps, table4_row, write_table4, TABLE4_SCALE, TABLE4_THREADS,
+    characterize, check_table4, table4_apps, table4_row, write_table4, TABLE4_SCALE,
 };
-use bench::{pct, selected_variants};
-use stamp_util::{Args, Variant};
+use stamp_util::Variant;
 use tm::{ProfBucket, SystemKind};
 
 fn list() {
@@ -164,49 +164,38 @@ fn smoke(sink: &mut JsonSink) {
 }
 
 fn main() {
-    let args = Args::from_env();
-    if args.get_bool("list") {
+    let f = bench::cli::parse("table4");
+    if f.on("list") {
         list();
         return;
     }
-    if args.get_bool("check") {
+    if f.on("check") {
         match check_table4() {
             Ok(()) => println!("results/table4.json matches a byte-identical re-run"),
             Err(e) => panic!("{e}"),
         }
         return;
     }
-    if args.get_bool("write") {
+    if f.on("write") {
         let path = write_table4();
         println!("wrote {}", path.display());
         return;
     }
 
     let mut sink = JsonSink::new();
-    if args.get_bool("smoke") {
+    if f.on("smoke") {
         smoke(&mut sink);
     } else {
-        let scale = args.get_u32("scale", TABLE4_SCALE).max(1);
-        let threads = args.get_u64("threads", TABLE4_THREADS as u64) as usize;
-        let variants = match args.get("variants") {
-            None => table4_apps(),
-            Some(list) => selected_variants(&Some(
-                list.split(',')
-                    .map(|s| s.trim().to_string())
-                    .filter(|s| !s.is_empty())
-                    .collect(),
-            )),
-        };
-        characterization(&variants, scale, threads, &SystemKind::ALL_TM, &mut sink);
+        let variants = bench::cli::variants(&f);
+        characterization(
+            &variants,
+            f.val("scale"),
+            f.val("threads"),
+            &SystemKind::ALL_TM,
+            &mut sink,
+        );
     }
-
-    match args.get("json") {
-        // Bare `--json` stores "true": print the array to stdout.
-        Some("true") => print!("{}", sink.render()),
-        Some(path) => {
-            sink.write(std::path::Path::new(path));
-            eprintln!("wrote {} rows to {path}", sink.len());
-        }
-        None => {}
+    if let Some(path) = f.opt::<PathBuf>("json") {
+        sink.write(path);
     }
 }

@@ -11,27 +11,26 @@
 //!   modeled cache size from 16 KB to 64 MB and looking for knees in
 //!   the miss rate.
 //!
-//! Flags: `--scale N`, `--variants a,b,...`, `--threads16 N` (the
-//! retry-column thread count, default 16), `--working-sets`,
-//! `--verify` (run the `tm::verify` sanitizer alongside each
-//! measurement and report its verdict and wall-clock cost; simulated
-//! cycles are unaffected), `--json <path>` (emit one JSON row per
-//! variant × system with `sim_cycles`, e.g. `results/BENCH_table6.json`).
+//! `table6 --help` lists the flags. With `--verify` (or `TM_VERIFY=1`)
+//! every measurement also runs the `tm::verify` sanitizer and reports
+//! its verdict and wall-clock cost; simulated cycles are unaffected.
+
+use std::path::PathBuf;
 
 use bench::json::JsonSink;
-use bench::{harness_flags, pct, run_variant, selected_variants};
-use stamp_util::Args;
-use tm::{CacheGeometry, SystemKind, TmConfig, VerifyCost};
+use bench::{pct, run_variant};
+use stamp_util::driver::tm_config;
+use tm::{CacheGeometry, SystemKind, VerifyCost};
 
 fn main() {
-    let args = Args::from_env();
-    let (scale, filter, _) = harness_flags(&args);
-    let retry_threads = args.get_u64("threads16", 16) as usize;
-    let do_ws = args.get_bool("working-sets");
-    let do_verify = args.get_bool("verify");
-    let json_path = args.get("json").map(std::path::PathBuf::from);
+    let f = bench::cli::parse("table6");
+    let scale = f.val("scale");
+    let retry_threads = f.val("threads16");
+    let do_ws = f.on("working-sets");
+    let do_verify = f.on("verify");
+    let json_path = f.opt::<PathBuf>("json");
     let mut sink = JsonSink::new();
-    let variants = selected_variants(&filter);
+    let variants = bench::cli::variants(&f);
 
     println!("TABLE VI: Basic characterization of the STAMP applications (scale 1/{scale})");
     println!(
@@ -55,7 +54,7 @@ fn main() {
     println!("{:-<120}", "");
 
     for v in &variants {
-        let cfg = |sys| TmConfig::new(sys, retry_threads).verify(do_verify);
+        let cfg = |sys| tm_config(&f, sys, retry_threads);
         // Lazy HTM, 16 threads: sets, length, time in transactions.
         let htm = run_variant(v, scale, cfg(SystemKind::LazyHtm));
         // Lazy STM: barrier counts.
@@ -135,7 +134,7 @@ fn main() {
             print!("{:<15}", v.name);
             let mut rates = Vec::new();
             for &kb in &sizes_kb {
-                let mut cfg = TmConfig::sequential().cache_sim(true);
+                let mut cfg = tm_config(&f, SystemKind::Sequential, 1).cache_sim(true);
                 cfg.l1 = CacheGeometry {
                     size_bytes: kb * 1024,
                     assoc: 4,
@@ -175,7 +174,6 @@ fn main() {
         println!("(knees in the miss-rate curve mark Table VI's working-set columns)");
     }
     if let Some(path) = json_path {
-        sink.write(&path);
-        eprintln!("wrote {} rows to {}", sink.len(), path.display());
+        sink.write(path);
     }
 }

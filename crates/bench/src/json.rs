@@ -124,12 +124,17 @@ impl JsonSink {
         out
     }
 
-    /// Write the array to `path`, creating parent directories.
+    /// Write the array to `path` (`-` prints it to stdout), creating
+    /// parent directories, and report the row count on stderr.
     ///
     /// # Panics
     ///
     /// Panics on I/O errors (harness binaries have no recovery path).
     pub fn write(&self, path: &Path) {
+        if path == Path::new("-") {
+            print!("{}", self.render());
+            return;
+        }
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)
@@ -140,6 +145,7 @@ impl JsonSink {
             .unwrap_or_else(|e| panic!("creating {}: {e}", path.display()));
         f.write_all(self.render().as_bytes())
             .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
+        eprintln!("wrote {} rows to {}", self.len(), path.display());
     }
 }
 

@@ -24,12 +24,14 @@
 //!
 //! `scripts/reproduce.sh` runs all of them and refreshes `results/`.
 //!
-//! All binaries accept `--scale N` to divide the workload for quick
-//! runs, `--variants a,b,c` to filter, and print one row per
-//! measurement so output can be diffed against EXPERIMENTS.md.
+//! Each binary's flags are one table in [`cli`] (`--help` lists them);
+//! most take `--scale N` to divide the workload for quick runs and
+//! `--variants a,b,c` to filter, and print one row per measurement so
+//! output can be diffed against EXPERIMENTS.md.
 
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod golden;
 pub mod json;
 pub mod lint;
@@ -57,56 +59,16 @@ pub fn run_variant(variant: &Variant, scale: u32, cfg: TmConfig) -> AppReport {
     run_params(&variant.scaled(scale), cfg)
 }
 
-/// Parse the common harness flags: (scale, variant filter, thread list).
-pub fn harness_flags(args: &stamp_util::Args) -> (u32, Option<Vec<String>>, Vec<usize>) {
-    let scale = args.get_u32("scale", 1).max(1);
-    let filter = args.get("variants").map(|v| {
-        v.split(',')
-            .map(|s| s.trim().to_string())
-            .filter(|s| !s.is_empty())
-            .collect()
-    });
-    let threads = args
-        .get("threadlist")
-        .unwrap_or("1,2,4,8,16")
-        .split(',')
-        .map(|s| s.trim().parse().expect("--threadlist wants integers"))
-        .collect();
-    (scale, filter, threads)
-}
-
-/// The variants a harness run should cover, honoring `--variants` and
-/// defaulting to the 20 simulator-sized ones.
-pub fn selected_variants(filter: &Option<Vec<String>>) -> Vec<Variant> {
-    let all = stamp_util::sim_variants();
-    match filter {
-        None => all,
-        Some(names) => {
-            let sel: Vec<Variant> = stamp_util::all_variants()
-                .into_iter()
-                .filter(|v| names.iter().any(|n| n == v.name))
-                .collect();
-            assert!(
-                sel.len() == names.len(),
-                "unknown variant in --variants (valid: {:?})",
-                stamp_util::all_variants()
-                    .iter()
-                    .map(|v| v.name)
-                    .collect::<Vec<_>>()
-            );
-            sel
-        }
-    }
-}
-
 /// Pretty fraction as a percentage.
 pub fn pct(x: f64) -> String {
     format!("{:.0}%", x * 100.0)
 }
 
-/// Speedup table helper: sequential baseline cycles for a variant.
-pub fn sequential_cycles(variant: &Variant, scale: u32) -> u64 {
-    let rep = run_variant(variant, scale, TmConfig::sequential());
+/// Speedup table helper: sequential baseline cycles for a variant,
+/// under the binary's shared TM flags.
+pub fn sequential_cycles(variant: &Variant, scale: u32, f: &stamp_util::Flags) -> u64 {
+    let cfg = stamp_util::driver::tm_config(f, SystemKind::Sequential, 1);
+    let rep = run_variant(variant, scale, cfg);
     assert!(
         rep.verified,
         "sequential {} failed verification",
@@ -187,31 +149,6 @@ mod tests {
             let rep = run_variant(&v, 64, TmConfig::new(SystemKind::LazyStm, 2));
             assert!(rep.verified, "{} failed", v.name);
         }
-    }
-
-    #[test]
-    fn flags_parse() {
-        let args = stamp_util::Args::parse(
-            "--scale 4 --variants kmeans-high,yada --threadlist 1,2"
-                .split_whitespace()
-                .map(String::from),
-        );
-        let (scale, filter, threads) = harness_flags(&args);
-        assert_eq!(scale, 4);
-        assert_eq!(
-            filter.as_deref(),
-            Some(&["kmeans-high".to_string(), "yada".to_string()][..])
-        );
-        assert_eq!(threads, vec![1, 2]);
-        let sel = selected_variants(&filter);
-        assert_eq!(sel.len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown variant")]
-    fn unknown_variant_rejected() {
-        let filter = Some(vec!["nope".to_string()]);
-        let _ = selected_variants(&filter);
     }
 
     #[test]

@@ -8,26 +8,27 @@
 //! * [`params`] / [`variants`] — structured parameters for the eight
 //!   applications and the registry of the 30 recommended configurations
 //!   (Table IV of the paper);
-//! * [`cli::Args`] — a flag parser accepting the original `-v32`-style
-//!   arguments;
+//! * [`flags`] / [`driver`] — one declarative flag table per binary
+//!   (accepting the original `-v32`-style arguments), and the one
+//!   reader of the shared TM flags and `TM_*` variables;
 //! * [`report`] — common result types shared by the application `run`
 //!   entry points and the bench harness.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cli;
 pub mod driver;
+pub mod flags;
 pub mod params;
 pub mod prng;
 pub mod report;
 pub mod variants;
 
-pub use cli::Args;
-pub use driver::tm_config_from_args;
+pub use driver::app_main;
+pub use flags::{Flag, Flags};
 pub use params::{
-    AppKind, AppParams, BayesParams, GenomeParams, IntruderParams, KmeansParams, LabyrinthParams,
-    Ssca2Params, VacationParams, YadaParams,
+    AppArgs, AppKind, AppParams, BayesParams, GenomeParams, IntruderParams, KmeansParams,
+    LabyrinthParams, Ssca2Params, VacationParams, YadaParams,
 };
 pub use prng::Mt19937;
 pub use report::AppReport;

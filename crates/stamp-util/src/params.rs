@@ -1,159 +1,189 @@
 //! Per-application parameter structs mirroring the command-line flags of
-//! the original suite (Table IV of the paper).
+//! the original suite (Table IV of the paper); each struct is declared
+//! with its app binary's own flag rows ([`AppArgs`]).
 
-/// bayes: learn the structure of a Bayesian network.
-///
-/// `-v` variables, `-r` records, `-n`/`-p` parents per variable (on
-/// average `n × p%`), `-i` edge-insertion penalty, `-e` max edges learned
-/// per variable, `-s` seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BayesParams {
-    /// Number of variables (`-v`).
-    pub vars: u32,
-    /// Number of observed records (`-r`).
-    pub records: u32,
-    /// Number of parents per variable in the generated ground-truth net
-    /// (`-n`).
-    pub num_parent: u32,
-    /// Percent chance of each candidate parent (`-p`).
-    pub percent_parent: u32,
-    /// Edge-insertion penalty (`-i`).
-    pub insert_penalty: u32,
-    /// Maximum edges learned per variable (`-e`).
-    pub max_num_edge_learned: u32,
-    /// PRNG seed (`-s`).
-    pub seed: u32,
-    /// Score with the ADtree (the original's structure) or by scanning
-    /// the record array (a denser-read-set substitution; the bayes
-    /// backend ablation compares the two).
-    pub adtree: bool,
+use crate::flags::{Flag, Flags, Table};
+
+/// Declares an app's parameter struct and its binary's own flag rows
+/// together: each field is one row (flag, default), and the field's
+/// doc line is the row's `--help` text.
+macro_rules! app_params {
+    ($(#[$meta:meta])* $ty:ident for $app:ident {
+        $(#[doc = $help:literal] $field:ident: $fty:ty = $flag:literal, $default:expr;)*
+    }) => {
+        $(#[$meta])*
+        pub struct $ty {
+            $(#[doc = $help] pub $field: $fty,)*
+        }
+
+        impl AppArgs for $ty {
+            const APP: AppKind = AppKind::$app;
+
+            fn rows() -> Vec<Flag> {
+                vec![$(Flag::num::<$fty>($flag, $default, $help.trim())),*]
+            }
+
+            fn from_flags(f: &Flags) -> Self {
+                $ty { $($field: f.val($flag)),* }
+            }
+        }
+    };
 }
 
-/// genome: reconstruct a gene from segments.
-///
-/// `-g` gene length, `-s` segment length, `-n` number of segments.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GenomeParams {
-    /// Gene length in nucleotides (`-g`).
-    pub gene_length: u64,
-    /// Segment length (`-s`).
-    pub segment_length: u64,
-    /// Number of segments sampled (`-n`).
-    pub num_segments: u64,
-    /// PRNG seed.
-    pub seed: u32,
+/// Parameters an app binary fills from its flag rows.
+pub trait AppArgs: Sized {
+    /// The application.
+    const APP: AppKind;
+    /// The binary's own rows, with the CLI's defaults.
+    fn rows() -> Vec<Flag>;
+    /// The parameters the already-checked `f` describes.
+    fn from_flags(f: &Flags) -> Self;
 }
 
-/// intruder: signature-based network intrusion detection.
-///
-/// `-a` percent of flows with injected attacks, `-l` max packets per
-/// flow, `-n` number of flows, `-s` seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IntruderParams {
-    /// Percentage of flows carrying an attack (`-a`).
-    pub attack_percent: u32,
-    /// Maximum packets per flow (`-l`).
-    pub max_packets_per_flow: u32,
-    /// Number of traffic flows (`-n`).
-    pub num_flows: u32,
-    /// PRNG seed (`-s`).
-    pub seed: u32,
+app_params! {
+    /// bayes: learn the structure of a Bayesian network (on average
+    /// `n × p%` parents per variable in the generated ground truth).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    BayesParams for Bayes {
+        /// Number of variables.
+        vars: u32 = "v", 32;
+        /// Number of observed records.
+        records: u32 = "r", 1024;
+        /// Parents per variable in the generated ground-truth net.
+        num_parent: u32 = "n", 2;
+        /// Percent chance of each candidate parent.
+        percent_parent: u32 = "p", 20;
+        /// Edge-insertion penalty.
+        insert_penalty: u32 = "i", 2;
+        /// Maximum edges learned per variable.
+        max_num_edge_learned: u32 = "e", 2;
+        /// PRNG seed.
+        seed: u32 = "s", 1;
+        /// Score with the ADtree (false: scan the records, the ablation's denser read sets).
+        adtree: bool = "adtree", true;
+    }
 }
 
-/// kmeans: K-means clustering.
-///
-/// `-m`/`-n` min/max cluster counts, `-t` convergence threshold, and the
-/// generated input `random-n<points>-d<dims>-c<centers>`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct KmeansParams {
-    /// Minimum number of clusters tried (`-m`).
-    pub min_clusters: u32,
-    /// Maximum number of clusters tried (`-n`).
-    pub max_clusters: u32,
-    /// Convergence threshold (`-t`).
-    pub threshold: f64,
-    /// Number of input points (input file `n`).
-    pub points: u32,
-    /// Dimensionality (input file `d`).
-    pub dims: u32,
-    /// Number of generating centers (input file `c`).
-    pub centers: u32,
-    /// PRNG seed for input generation.
-    pub seed: u32,
+app_params! {
+    /// genome: reconstruct a gene from segments.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    GenomeParams for Genome {
+        /// Gene length in nucleotides.
+        gene_length: u64 = "g", 256;
+        /// Segment length.
+        segment_length: u64 = "s", 16;
+        /// Number of segments sampled.
+        num_segments: u64 = "n", 16384;
+        /// PRNG seed.
+        seed: u32 = "seed", 0;
+    }
 }
 
-/// labyrinth: Lee's maze-routing algorithm.
-///
-/// Input maze `random-x<x>-y<y>-z<z>-n<paths>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LabyrinthParams {
-    /// Maze width (`x`).
-    pub x: u32,
-    /// Maze height (`y`).
-    pub y: u32,
-    /// Maze depth (`z`).
-    pub z: u32,
-    /// Number of paths to route (`n`).
-    pub paths: u32,
-    /// PRNG seed for endpoint generation.
-    pub seed: u32,
+app_params! {
+    /// intruder: signature-based network intrusion detection.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    IntruderParams for Intruder {
+        /// Percentage of flows carrying an attack.
+        attack_percent: u32 = "a", 10;
+        /// Maximum packets per flow.
+        max_packets_per_flow: u32 = "l", 4;
+        /// Number of traffic flows.
+        num_flows: u32 = "n", 2048;
+        /// PRNG seed.
+        seed: u32 = "s", 1;
+    }
 }
 
-/// ssca2: kernel 1 of the SSCA2 graph benchmark.
-///
-/// `-s` log2 of node count, `-i`/`-u` inter-clique and unidirectional
-/// probabilities, `-l` max path length, `-p` max parallel edges.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Ssca2Params {
-    /// log2 of the number of nodes (`-s`).
-    pub scale: u32,
-    /// Probability of inter-clique edges (`-i`).
-    pub prob_interclique: f64,
-    /// Probability of unidirectional edges (`-u`).
-    pub prob_unidirectional: f64,
-    /// Maximum path length between cliques (`-l`).
-    pub max_path_length: u32,
-    /// Maximum number of parallel edges (`-p`).
-    pub max_parallel_edges: u32,
-    /// PRNG seed.
-    pub seed: u32,
+app_params! {
+    /// kmeans: K-means clustering of the generated input
+    /// `random-n<points>-d<dims>-c<centers>`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    KmeansParams for Kmeans {
+        /// Minimum number of clusters tried.
+        min_clusters: u32 = "m", 15;
+        /// Maximum number of clusters tried.
+        max_clusters: u32 = "n", 15;
+        /// Convergence threshold.
+        threshold: f64 = "t", 0.05;
+        /// Number of input points.
+        points: u32 = "points", 2048;
+        /// Dimensions per point.
+        dims: u32 = "dims", 16;
+        /// Number of generating centers.
+        centers: u32 = "centers", 16;
+        /// PRNG seed for input generation.
+        seed: u32 = "s", 7;
+    }
 }
 
-/// vacation: travel-reservation OLTP.
-///
-/// `-n` items per session, `-q` percent of records queried, `-u` percent
-/// of sessions that are reservations/cancellations, `-r` records per
-/// reservation table, `-t` sessions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct VacationParams {
-    /// Max items touched per session (`-n`).
-    pub items_per_session: u32,
-    /// Percent of records eligible per query (`-q`).
-    pub query_percent: u32,
-    /// Percent of sessions that reserve/cancel (the rest create/destroy)
-    /// (`-u`).
-    pub user_percent: u32,
-    /// Records of each reservation item (`-r`).
-    pub records: u32,
-    /// Total client sessions (`-t`).
-    pub sessions: u32,
-    /// PRNG seed.
-    pub seed: u32,
+app_params! {
+    /// labyrinth: Lee's maze routing on the input maze
+    /// `random-x<x>-y<y>-z<z>-n<paths>`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    LabyrinthParams for Labyrinth {
+        /// Maze width.
+        x: u32 = "x", 32;
+        /// Maze height.
+        y: u32 = "y", 32;
+        /// Maze depth.
+        z: u32 = "z", 3;
+        /// Number of paths to route.
+        paths: u32 = "n", 96;
+        /// PRNG seed for endpoint generation.
+        seed: u32 = "seed", 5;
+    }
 }
 
-/// yada: Ruppert's Delaunay refinement.
-///
-/// `-a` minimum angle; the input mesh is generated with approximately
-/// `init_points` vertices (standing in for the paper's mesh files).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct YadaParams {
-    /// Minimum triangle angle in degrees (`-a`).
-    pub min_angle: f64,
-    /// Approximate number of vertices in the generated input mesh (the
-    /// paper's `633.2` input has 1264 elements ≈ 640 points).
-    pub init_points: u32,
-    /// PRNG seed for mesh generation.
-    pub seed: u32,
+app_params! {
+    /// ssca2: kernel 1 of the SSCA2 graph benchmark.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    Ssca2Params for Ssca2 {
+        /// log2 of the number of nodes.
+        scale: u32 = "s", 13;
+        /// Probability of inter-clique edges.
+        prob_interclique: f64 = "i", 1.0;
+        /// Probability of unidirectional edges.
+        prob_unidirectional: f64 = "u", 1.0;
+        /// Maximum path length between cliques.
+        max_path_length: u32 = "l", 3;
+        /// Maximum number of parallel edges.
+        max_parallel_edges: u32 = "p", 3;
+        /// PRNG seed.
+        seed: u32 = "seed", 3;
+    }
+}
+
+app_params! {
+    /// vacation: travel-reservation OLTP.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    VacationParams for Vacation {
+        /// Max items touched per session.
+        items_per_session: u32 = "n", 4;
+        /// Percent of records eligible per query.
+        query_percent: u32 = "q", 60;
+        /// Percent of sessions that reserve or cancel (the rest create or destroy).
+        user_percent: u32 = "u", 90;
+        /// Records of each reservation item.
+        records: u32 = "r", 16384;
+        /// Total client sessions.
+        sessions: u32 = "t", 4096;
+        /// PRNG seed.
+        seed: u32 = "seed", 1;
+    }
+}
+
+app_params! {
+    /// yada: Ruppert's Delaunay refinement. The paper's `633.2` input
+    /// mesh has 1264 elements, about 640 points.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    YadaParams for Yada {
+        /// Minimum triangle angle in degrees.
+        min_angle: f64 = "a", 20.0;
+        /// Approximate number of vertices in the generated input mesh.
+        init_points: u32 = "points", 640;
+        /// PRNG seed for mesh generation.
+        seed: u32 = "seed", 9;
+    }
 }
 
 /// The eight applications.
@@ -229,6 +259,42 @@ impl AppKind {
             AppKind::Ssca2 => "Creates efficient graph representation",
             AppKind::Vacation => "Emulates travel reservation system",
             AppKind::Yada => "Refines a Delaunay mesh",
+        }
+    }
+
+    /// The parameters `args`, in the app binary's own flags, describe.
+    ///
+    /// # Panics
+    ///
+    /// If the app's rows reject `args`.
+    pub fn params(self, args: &str) -> AppParams {
+        let table = Table::new(self.name(), self.rows());
+        let f = table
+            .parse(args.split_whitespace().map(String::from), |_| None)
+            .unwrap_or_else(|e| panic!("{self} {args}: {e:?}"));
+        match self {
+            AppKind::Bayes => AppParams::Bayes(AppArgs::from_flags(&f)),
+            AppKind::Genome => AppParams::Genome(AppArgs::from_flags(&f)),
+            AppKind::Intruder => AppParams::Intruder(AppArgs::from_flags(&f)),
+            AppKind::Kmeans => AppParams::Kmeans(AppArgs::from_flags(&f)),
+            AppKind::Labyrinth => AppParams::Labyrinth(AppArgs::from_flags(&f)),
+            AppKind::Ssca2 => AppParams::Ssca2(AppArgs::from_flags(&f)),
+            AppKind::Vacation => AppParams::Vacation(AppArgs::from_flags(&f)),
+            AppKind::Yada => AppParams::Yada(AppArgs::from_flags(&f)),
+        }
+    }
+
+    /// The app binary's own flag rows ([`AppArgs::rows`]).
+    pub fn rows(self) -> Vec<Flag> {
+        match self {
+            AppKind::Bayes => BayesParams::rows(),
+            AppKind::Genome => GenomeParams::rows(),
+            AppKind::Intruder => IntruderParams::rows(),
+            AppKind::Kmeans => KmeansParams::rows(),
+            AppKind::Labyrinth => LabyrinthParams::rows(),
+            AppKind::Ssca2 => Ssca2Params::rows(),
+            AppKind::Vacation => VacationParams::rows(),
+            AppKind::Yada => YadaParams::rows(),
         }
     }
 }

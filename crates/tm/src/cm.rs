@@ -10,10 +10,10 @@
 //! so a policy can be swapped per run without touching the versioning
 //! or conflict-detection machinery.
 //!
-//! Five policies ship (selected by [`CmPolicy`], overridable with the
-//! `TM_CM` environment variable):
+//! Five policies ship, selected by [`CmPolicy`] (the binaries take
+//! the names below from `--cm` / `TM_CM`):
 //!
-//! | `TM_CM` | Policy | Origin |
+//! | Name | Policy | Origin |
 //! |---|---|---|
 //! | `immediate` | [`CmPolicy::Immediate`] | the paper's HTM design point: restart at once |
 //! | `linear` | [`CmPolicy::RandomizedLinear`] | the paper's STM/hybrid policy (backoff after 3 aborts) |
@@ -51,9 +51,8 @@ pub const LINEAR_WINDOW_CAP: u32 = 1 << 16;
 
 /// Which contention-management policy a run uses.
 ///
-/// Select with [`crate::TmConfig::cm`] or the `TM_CM` environment
-/// variable ([`CmPolicy::parse`] lists the accepted names). `None`
-/// falls back to the paper's per-system default, see
+/// Select with [`crate::TmConfig::cm`] ([`CmPolicy::parse`] lists the
+/// accepted names). `None` falls back to the paper's per-system default, see
 /// [`crate::TmConfig::effective_cm`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CmPolicy {
@@ -138,7 +137,7 @@ impl CmPolicy {
         CmPolicy::DEFAULT_ADAPTIVE,
     ];
 
-    /// Short label used in reports and accepted by `TM_CM`.
+    /// Short label used in reports and accepted by [`CmPolicy::parse`].
     pub fn label(self) -> &'static str {
         match self {
             CmPolicy::Immediate => "immediate",
@@ -149,7 +148,7 @@ impl CmPolicy {
         }
     }
 
-    /// Parse a policy name (as accepted by `TM_CM`), with default
+    /// Parse a policy name, with default
     /// parameters: `immediate`, `linear`, `exponential`, `karma`,
     /// `adaptive` (aliases: `none`, `randomized-linear`, `exp`,
     /// `ats`, `serialize`).

@@ -346,8 +346,6 @@ pub struct TmConfig {
     pub signature_bits: usize,
     /// Contention-manager override; `None` derives the paper's default
     /// policy for the configured system (see [`TmConfig::effective_cm`]).
-    /// Also settable with the `TM_CM=<policy>` environment variable
-    /// (see [`CmPolicy::parse`] for accepted names).
     pub cm: Option<CmPolicy>,
     /// Number of aborts after which an eager-HTM transaction is promoted
     /// to high priority (the paper's livelock guard: 32).
@@ -357,36 +355,29 @@ pub struct TmConfig {
     /// Seed for the per-thread backoff RNGs.
     pub seed: u64,
     /// Deterministic-scheduler dispatch mode (see [`crate::sched`]).
-    /// Also settable with `TM_SCHED=minclock|pct` (and `TM_SCHED_GAP`
-    /// for the PCT change-point gap).
     pub sched: SchedMode,
     /// Seed for the deterministic scheduler's dispatch tie-breaking and
-    /// PCT change points. Also settable with `TM_SCHED_SEED` (decimal
-    /// or `0x`-prefixed hex). Together with [`TmConfig::seed`] this
+    /// PCT change points. Together with [`TmConfig::seed`] this
     /// pins the entire multi-thread run: identical configurations
     /// replay bit-identically on any host.
     pub sched_seed: u64,
-    /// Run under the [`crate::verify`] serializability sanitizer. Also
-    /// enabled by `TM_VERIFY=1` in the environment. The sanitizer
+    /// Run under the [`crate::verify`] serializability sanitizer. The sanitizer
     /// charges zero simulated cycles, so `sim_cycles` outputs are
     /// bit-identical either way; only wall-clock time changes.
     pub verify: bool,
-    /// Run under the [`crate::prof`] cycle-accounting profiler. Also
-    /// enabled by `TM_PROF=1` in the environment. Like the sanitizer,
+    /// Run under the [`crate::prof`] cycle-accounting profiler. Like the sanitizer,
     /// the profiler charges zero simulated cycles — `sim_cycles` and
     /// all engine statistics are bit-identical either way.
     pub prof: bool,
     /// Deterministic spurious-event injection ([`crate::fault`]):
     /// capacity-pressure aborts, interrupt hazards, signature false
     /// positives, and delayed commits, drawn from per-attempt SplitMix
-    /// streams. Also settable with `TM_FAULT=<spec>` (see
-    /// [`FaultConfig::parse`] for the grammar). `None`, or a config
+    /// streams ([`FaultConfig::parse`] gives the spec grammar). `None`, or a config
     /// whose seed is 0 or whose rates are all zero, disables the
     /// layer at zero simulated and host cost.
     pub fault: Option<FaultConfig>,
     /// Starvation-watchdog bounds for the irrevocable-mode escalation
-    /// ([`crate::fault::WatchdogConfig`]). Also settable with
-    /// `TM_WATCHDOG=aborts=N,cycles=C`. When `None`, the watchdog
+    /// ([`crate::fault::WatchdogConfig`]). When `None`, the watchdog
     /// arms with default bounds whenever fault injection is enabled
     /// and stays off otherwise — see [`TmConfig::effective_watchdog`].
     pub watchdog: Option<WatchdogConfig>,
@@ -413,17 +404,11 @@ pub enum MutationHook {
     CorruptSignatureHash,
 }
 
-/// Parse a seed value in decimal or `0x`-prefixed hex.
-fn parse_seed(v: &str) -> Option<u64> {
-    match v.strip_prefix("0x").or_else(|| v.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => v.parse().ok(),
-    }
-}
-
 impl TmConfig {
     /// A configuration for `system` with `threads` logical processors and
-    /// the paper's defaults for everything else.
+    /// the paper's defaults for everything else. It reads no process
+    /// state: the binaries apply their flags and `TM_*` variables over
+    /// it in `stamp_util::driver`.
     pub fn new(system: SystemKind, threads: usize) -> Self {
         assert!(threads >= 1, "at least one thread required");
         assert!(
@@ -440,42 +425,16 @@ impl TmConfig {
             l1: CacheGeometry::table_v_l1(),
             cache_sim: false,
             signature_bits: 2048,
-            cm: match std::env::var("TM_CM") {
-                Ok(v) if !v.is_empty() => Some(CmPolicy::parse(&v).unwrap_or_else(|| {
-                    panic!(
-                        "TM_CM={v:?} is not a contention-manager policy \
-                         (expected immediate|linear|exponential|karma|adaptive)"
-                    )
-                })),
-                _ => None,
-            },
+            cm: None,
             htm_priority_after: 32,
             htm_conflict: HtmConflictPolicy::default(),
             seed: 0x5eed_cafe,
-            sched: SchedMode::from_env(),
-            sched_seed: match std::env::var("TM_SCHED_SEED") {
-                Ok(v) if !v.is_empty() => parse_seed(&v)
-                    .unwrap_or_else(|| panic!("TM_SCHED_SEED={v:?} is not an unsigned integer")),
-                _ => DEFAULT_SCHED_SEED,
-            },
-            verify: std::env::var("TM_VERIFY")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false),
-            prof: std::env::var("TM_PROF")
-                .map(|v| !v.is_empty() && v != "0")
-                .unwrap_or(false),
-            fault: match std::env::var("TM_FAULT") {
-                Ok(v) if !v.is_empty() => {
-                    Some(FaultConfig::parse(&v).unwrap_or_else(|e| panic!("TM_FAULT={v:?}: {e}")))
-                }
-                _ => None,
-            },
-            watchdog: match std::env::var("TM_WATCHDOG") {
-                Ok(v) if !v.is_empty() => Some(
-                    WatchdogConfig::parse(&v).unwrap_or_else(|e| panic!("TM_WATCHDOG={v:?}: {e}")),
-                ),
-                _ => None,
-            },
+            sched: SchedMode::MinClock,
+            sched_seed: DEFAULT_SCHED_SEED,
+            verify: false,
+            prof: false,
+            fault: None,
+            watchdog: None,
             mutation: MutationHook::None,
         }
     }
@@ -498,14 +457,13 @@ impl TmConfig {
     }
 
     /// Set the deterministic-scheduler seed (dispatch tie-breaking and
-    /// PCT change points; takes precedence over `TM_SCHED_SEED`).
+    /// PCT change points).
     pub fn sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = seed;
         self
     }
 
-    /// Set the deterministic-scheduler dispatch mode (takes precedence
-    /// over `TM_SCHED`).
+    /// Set the deterministic-scheduler dispatch mode.
     pub fn sched(mut self, mode: SchedMode) -> Self {
         self.sched = mode;
         self
@@ -523,8 +481,7 @@ impl TmConfig {
         self
     }
 
-    /// Override the contention-manager policy (takes precedence over
-    /// the `TM_CM` environment variable).
+    /// Override the contention-manager policy.
     pub fn cm(mut self, policy: CmPolicy) -> Self {
         self.cm = Some(policy);
         self
@@ -557,15 +514,14 @@ impl TmConfig {
         self
     }
 
-    /// Enable deterministic spurious-event injection (takes precedence
-    /// over the `TM_FAULT` environment variable).
+    /// Enable deterministic spurious-event injection.
     pub fn fault(mut self, cfg: FaultConfig) -> Self {
         self.fault = Some(cfg);
         self
     }
 
-    /// Set explicit starvation-watchdog bounds (takes precedence over
-    /// `TM_WATCHDOG` and the fault-layer default).
+    /// Set explicit starvation-watchdog bounds (taking precedence over
+    /// the fault-layer default).
     pub fn watchdog(mut self, cfg: WatchdogConfig) -> Self {
         self.watchdog = Some(cfg);
         self
@@ -595,7 +551,7 @@ impl TmConfig {
     }
 
     /// The effective contention-manager policy: the [`TmConfig::cm`]
-    /// override if set (builder or `TM_CM` env), otherwise the paper's
+    /// override if set, otherwise the paper's
     /// policy for the configured system — immediate restart for the
     /// HTMs (and the two non-transactional baselines), randomized
     /// linear backoff after 3 aborts for the STMs and hybrids.
@@ -668,11 +624,7 @@ mod tests {
             (LazyHybrid, CmPolicy::DEFAULT_LINEAR),
             (EagerHybrid, CmPolicy::DEFAULT_LINEAR),
         ] {
-            // Clear any `TM_CM` override the test environment carries.
-            let cfg = TmConfig {
-                cm: None,
-                ..TmConfig::new(system, 2)
-            };
+            let cfg = TmConfig::new(system, 2);
             assert_eq!(cfg.effective_cm(), policy, "{system}");
             // An explicit CM choice wins on every system.
             let cfg = cfg.cm(CmPolicy::DEFAULT_KARMA);

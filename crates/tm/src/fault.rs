@@ -34,8 +34,7 @@
 //! to the contention manager with a `spurious` flag so adaptive
 //! policies don't mistake injected noise for data contention.
 //!
-//! Enable with `TM_FAULT=<spec>` or [`crate::TmConfig::fault`]; the
-//! spec grammar is documented on [`FaultConfig::parse`]. With the
+//! Enable with [`crate::TmConfig::fault`]; the spec grammar is documented on [`FaultConfig::parse`]. With the
 //! layer disabled (the default) no stream is ever seeded and no
 //! decision is ever drawn: runs are byte-identical to an engine built
 //! without this module.
@@ -114,7 +113,7 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Short label used in `TM_TRACE=faults` output.
+    /// Short label used in the `faults` trace stream.
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::Capacity => "capacity",
@@ -136,7 +135,7 @@ impl std::fmt::Display for FaultKind {
 /// Rates are integer per-mille probabilities (deterministic integer
 /// arithmetic; no floating point anywhere near the engine). Build one
 /// with [`FaultConfig::parse`] or field syntax; pass it via
-/// [`crate::TmConfig::fault`] or the `TM_FAULT` environment variable.
+/// [`crate::TmConfig::fault`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultConfig {
     /// Base seed of every per-attempt stream. `0` disables the layer
@@ -180,7 +179,7 @@ impl Default for FaultConfig {
 }
 
 impl FaultConfig {
-    /// Parse a `TM_FAULT` spec: comma-separated `key=value` pairs.
+    /// Parse a fault spec: comma-separated `key=value` pairs.
     ///
     /// | key | meaning | default |
     /// |---|---|---|
@@ -192,7 +191,7 @@ impl FaultConfig {
     /// | `stall` | delayed-commit rate, per-mille per commit | 0 |
     /// | `stallc` | delayed-commit cost, cycles | 400 |
     ///
-    /// Example: `TM_FAULT=seed=7,cap=10,capth=16,intr=5,sigfp=5,stall=20`.
+    /// Example: `seed=7,cap=10,capth=16,intr=5,sigfp=5,stall=20`.
     ///
     /// # Errors
     ///
@@ -294,8 +293,7 @@ impl std::fmt::Display for FaultConfig {
 /// commit token, in-place writes, no abort path) — a hard
 /// forward-progress guarantee.
 ///
-/// Configure via [`crate::TmConfig::watchdog`] or
-/// `TM_WATCHDOG=aborts=N,cycles=C`. When unset, the watchdog arms
+/// Configure via [`crate::TmConfig::watchdog`]. When unset, the watchdog arms
 /// automatically (with these defaults) whenever fault injection is
 /// enabled, and stays off otherwise — so default runs are byte-
 /// identical to the pre-watchdog engine.
@@ -319,7 +317,7 @@ impl Default for WatchdogConfig {
 }
 
 impl WatchdogConfig {
-    /// Parse a `TM_WATCHDOG` spec: `aborts=N`, `cycles=C`, comma
+    /// Parse a watchdog spec: `aborts=N`, `cycles=C`, comma
     /// separated, either optional (defaults per [`Default`]).
     ///
     /// # Errors

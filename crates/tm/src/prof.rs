@@ -4,7 +4,7 @@
 //! system B": §V attributes every slowdown to *where* the cycles go —
 //! aborted work, backoff, validation and commit overhead, commit
 //! serialization. This module reproduces that attribution. With
-//! profiling enabled ([`crate::TmConfig::prof`] or `TM_PROF=1`), every
+//! profiling enabled ([`crate::TmConfig::prof`]), every
 //! simulated cycle a thread burns is assigned to exactly one of six
 //! exclusive buckets:
 //!

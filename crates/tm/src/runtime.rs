@@ -134,10 +134,10 @@ pub struct RunReport {
     /// so no pinned artifact records them.
     pub sched: SchedCounters,
     /// Sanitizer report, present when the run had `TmConfig::verify`
-    /// (or `TM_VERIFY=1`) enabled.
+    /// enabled.
     pub verify: Option<VerifyReport>,
     /// Profiler report, present when the run had `TmConfig::prof`
-    /// (or `TM_PROF=1`) enabled.
+    /// enabled.
     pub prof: Option<ProfReport>,
 }
 

@@ -11,11 +11,11 @@
 //! (app, variant, system, threads, seed) inputs therefore produce
 //! bit-identical runs on any host.
 //!
-//! Two dispatch modes ([`SchedMode`], `TM_SCHED`):
+//! Two dispatch modes ([`SchedMode`]):
 //!
 //! * [`SchedMode::MinClock`] (default) — the turn goes to the runnable
 //!   thread with the minimum published clock; ties break by a seeded
-//!   permutation (`TM_SCHED_SEED` / `TmConfig::sched_seed`). The holder
+//!   permutation ([`crate::TmConfig::sched_seed`]). The holder
 //!   retains the turn while within one quantum of the slowest runnable
 //!   thread, so clock skew obeys exactly the bound the seed scheduler
 //!   enforced and the Table V cost model is undisturbed.
@@ -93,43 +93,6 @@ impl SchedMode {
                 avg_gap: DEFAULT_PCT_GAP,
             },
             _ => return None,
-        })
-    }
-
-    /// The mode selected by `TM_SCHED` (with `TM_SCHED_GAP` setting the
-    /// PCT change-point gap), defaulting to [`SchedMode::MinClock`].
-    ///
-    /// # Panics
-    ///
-    /// If `TM_SCHED` is not a mode [`SchedMode::parse`] accepts, or
-    /// `TM_SCHED_GAP` is set but not a positive integer.
-    pub fn from_env() -> SchedMode {
-        let var = |key| std::env::var(key).ok().filter(|v| !v.is_empty());
-        SchedMode::from_vars(var("TM_SCHED").as_deref(), var("TM_SCHED_GAP").as_deref())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// The mode selected by the values of `TM_SCHED` and `TM_SCHED_GAP`
-    /// (`None` when unset or empty). The gap must be a positive integer
-    /// whenever it is set; it applies only to [`SchedMode::Pct`].
-    fn from_vars(sched: Option<&str>, gap: Option<&str>) -> Result<SchedMode, String> {
-        let mode = match sched {
-            Some(v) => SchedMode::parse(v).ok_or_else(|| {
-                format!("TM_SCHED={v:?} is not a scheduling mode (expected minclock|pct)")
-            })?,
-            None => SchedMode::MinClock,
-        };
-        let gap = match gap {
-            Some(v) => v
-                .parse()
-                .ok()
-                .filter(|g| *g > 0)
-                .ok_or_else(|| format!("TM_SCHED_GAP={v:?} is not a positive integer"))?,
-            None => DEFAULT_PCT_GAP,
-        };
-        Ok(match mode {
-            SchedMode::Pct { .. } => SchedMode::Pct { avg_gap: gap },
-            m => m,
         })
     }
 
@@ -741,32 +704,5 @@ mod tests {
             })
         );
         assert_eq!(SchedMode::parse("bogus"), None);
-    }
-
-    #[test]
-    fn env_values_parse_or_name_the_bad_variable() {
-        assert_eq!(SchedMode::from_vars(None, None), Ok(SchedMode::MinClock));
-        assert_eq!(
-            SchedMode::from_vars(Some("pct"), None),
-            Ok(SchedMode::Pct {
-                avg_gap: DEFAULT_PCT_GAP
-            })
-        );
-        assert_eq!(
-            SchedMode::from_vars(Some("pct"), Some("25")),
-            Ok(SchedMode::Pct { avg_gap: 25 })
-        );
-        assert_eq!(
-            SchedMode::from_vars(Some("minclock"), Some("25")),
-            Ok(SchedMode::MinClock)
-        );
-        for bad in ["abc", "0", "-3"] {
-            assert_eq!(
-                SchedMode::from_vars(Some("pct"), Some(bad)),
-                Err(format!("TM_SCHED_GAP={bad:?} is not a positive integer"))
-            );
-        }
-        let err = SchedMode::from_vars(Some("fifo"), None).unwrap_err();
-        assert!(err.starts_with("TM_SCHED=\"fifo\""), "{err}");
     }
 }

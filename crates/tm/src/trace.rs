@@ -1,8 +1,9 @@
 //! Unified diagnostic tracing for the TM engine.
 //!
-//! One environment variable, `TM_TRACE`, controls every diagnostic
-//! stream (it replaces the old ad-hoc `TM_DEBUG_CONFLICTS=1`). The
-//! value is a comma-separated list of levels:
+//! One process-wide set of levels, all off until [`enable`] is called,
+//! controls every diagnostic stream. The binaries set it once from
+//! `--trace` / `TM_TRACE`, a comma-separated list of levels
+//! ([`TraceLevel::parse_list`]):
 //!
 //! * `conflicts` — every HTM/hybrid conflict-resolution event (who
 //!   aborted or stalled for whom, and on which line),
@@ -11,16 +12,15 @@
 //! * `sighits` — hybrid signature hits during commit-time scans
 //!   (including false positives, which is the point of tracing them),
 //! * `verify` — reports from the [`crate::verify`] sanitizer,
+//! * `faults` — injected [`crate::fault`] events and watchdog trips,
 //! * `all` (or `1`) — everything.
 //!
 //! Example: `TM_TRACE=conflicts,sighits cargo run -p bench --bin table6`.
-//!
-//! The variable is read once per process; levels cannot change
-//! mid-run. Output goes to stderr so it never mixes with table output.
+//! Output goes to stderr so it never mixes with table output.
 
-use std::sync::OnceLock;
+use std::sync::atomic::{AtomicU8, Ordering};
 
-/// One diagnostic stream that can be toggled via `TM_TRACE`.
+/// One diagnostic stream that can be toggled with [`enable`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceLevel {
     /// Conflict-resolution events (aborts, stalls, dooms).
@@ -39,14 +39,43 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    fn bit(self) -> u8 {
-        match self {
-            TraceLevel::Conflicts => 1 << 0,
-            TraceLevel::Overflows => 1 << 1,
-            TraceLevel::SigHits => 1 << 2,
-            TraceLevel::Verify => 1 << 3,
-            TraceLevel::Faults => 1 << 4,
+    /// Every level.
+    pub const ALL: [TraceLevel; 5] = [
+        TraceLevel::Conflicts,
+        TraceLevel::Overflows,
+        TraceLevel::SigHits,
+        TraceLevel::Verify,
+        TraceLevel::Faults,
+    ];
+
+    /// Parse a comma-separated level list: `conflicts`, `overflows`,
+    /// `sighits`, `verify`, `faults`, or `all` (also `1`).
+    ///
+    /// # Errors
+    ///
+    /// Names the first part that is not a level.
+    pub fn parse_list(s: &str) -> Result<Vec<TraceLevel>, String> {
+        let mut levels = Vec::new();
+        for part in s.split(',').map(str::trim).filter(|p| !p.is_empty()) {
+            levels.extend_from_slice(match part {
+                "conflicts" | "conflict" => &[TraceLevel::Conflicts],
+                "overflows" | "overflow" => &[TraceLevel::Overflows],
+                "sighits" | "sighit" => &[TraceLevel::SigHits],
+                "verify" => &[TraceLevel::Verify],
+                "faults" | "fault" => &[TraceLevel::Faults],
+                "all" | "1" => &TraceLevel::ALL,
+                _ => {
+                    return Err(format!(
+                        "unknown level {part:?} (expected conflicts, overflows, sighits, verify, faults, all)"
+                    ))
+                }
+            });
         }
+        Ok(levels)
+    }
+
+    fn bit(self) -> u8 {
+        1 << self as u8
     }
 
     /// The stderr tag prefix for this level.
@@ -61,38 +90,21 @@ impl TraceLevel {
     }
 }
 
-fn mask() -> u8 {
-    static MASK: OnceLock<u8> = OnceLock::new();
-    *MASK.get_or_init(|| {
-        let Ok(raw) = std::env::var("TM_TRACE") else {
-            return 0;
-        };
-        let mut m = 0u8;
-        for part in raw.split(',') {
-            match part.trim() {
-                "" => {}
-                "conflicts" | "conflict" => m |= TraceLevel::Conflicts.bit(),
-                "overflows" | "overflow" => m |= TraceLevel::Overflows.bit(),
-                "sighits" | "sighit" => m |= TraceLevel::SigHits.bit(),
-                "verify" => m |= TraceLevel::Verify.bit(),
-                "faults" | "fault" => m |= TraceLevel::Faults.bit(),
-                "all" | "1" => m |= 0xff,
-                other => {
-                    eprintln!("[tm:trace] unknown TM_TRACE level {other:?} (expected conflicts, overflows, sighits, verify, faults, all)");
-                }
-            }
-        }
-        m
-    })
+// Relaxed throughout: the mask publishes no other data.
+static MASK: AtomicU8 = AtomicU8::new(0);
+
+/// Turn on exactly `levels` (and off every other) for the whole process.
+pub fn enable(levels: &[TraceLevel]) {
+    MASK.store(levels.iter().fold(0, |m, l| m | l.bit()), Ordering::Relaxed);
 }
 
-/// Whether `level` was enabled via `TM_TRACE`.
+/// Whether `level` is enabled.
 ///
 /// Call sites guard their formatting behind this so tracing costs one
 /// branch when disabled.
 #[inline]
 pub fn enabled(level: TraceLevel) -> bool {
-    mask() & level.bit() != 0
+    MASK.load(Ordering::Relaxed) & level.bit() != 0
 }
 
 /// Emit one tagged line to stderr if `level` is enabled.
@@ -114,8 +126,7 @@ macro_rules! trace {
 mod tests {
     use super::*;
 
-    // The mask is process-global and env-dependent; in the test
-    // environment TM_TRACE is unset, so everything is disabled.
+    // Nothing in the test binary enables a level.
     #[test]
     fn disabled_by_default() {
         assert!(!enabled(TraceLevel::Conflicts));
@@ -125,14 +136,21 @@ mod tests {
     }
 
     #[test]
+    fn level_lists_parse() {
+        assert_eq!(
+            TraceLevel::parse_list("conflicts, sighits"),
+            Ok(vec![TraceLevel::Conflicts, TraceLevel::SigHits])
+        );
+        assert_eq!(TraceLevel::parse_list("all"), Ok(TraceLevel::ALL.to_vec()));
+        assert_eq!(TraceLevel::parse_list(""), Ok(vec![]));
+        assert!(TraceLevel::parse_list("conflicts,bogus")
+            .unwrap_err()
+            .contains("\"bogus\""));
+    }
+
+    #[test]
     fn tags_are_distinct() {
-        let tags = [
-            TraceLevel::Conflicts.tag(),
-            TraceLevel::Overflows.tag(),
-            TraceLevel::SigHits.tag(),
-            TraceLevel::Verify.tag(),
-            TraceLevel::Faults.tag(),
-        ];
+        let tags = TraceLevel::ALL.map(TraceLevel::tag);
         for (i, a) in tags.iter().enumerate() {
             for b in &tags[i + 1..] {
                 assert_ne!(a, b);

@@ -1,6 +1,6 @@
 //! `tm::verify` — an opt-in serializability sanitizer for the TM engine.
 //!
-//! When enabled (`TmConfig::verify(true)` or `TM_VERIFY=1`), every
+//! When enabled (`TmConfig::verify(true)`), every
 //! transactional heap access is routed through a global verify mutex
 //! that pairs the access with an exact *(value, version)* observation
 //! against a shadow copy of the heap. Each committed install gets a

@@ -20,10 +20,13 @@ echo "==> ablation_cm --smoke"
 cargo run -q --release -p bench --bin ablation_cm -- --smoke
 
 echo "==> schedfuzz --smoke"
-TM_VERIFY=1 cargo run -q --release -p bench --bin schedfuzz -- --smoke
+cargo run -q --release -p bench --bin schedfuzz -- --smoke
 
 echo "==> schedfuzz --golden --check (all 20 goldens byte-identical)"
 cargo run -q --release -p bench --bin schedfuzz -- --golden --check
+
+echo "==> goldens under ambient TM_CM/TM_FAULT (the pinned configs must ignore them)"
+TM_CM=karma TM_FAULT=seed=3,intr=5 cargo run -q --release -p bench --bin schedfuzz -- --golden --check
 
 echo "==> chaos --smoke"
 cargo run -q --release -p bench --bin chaos -- --smoke
@@ -33,6 +36,9 @@ cargo run -q --release -p bench --bin table4 -- --smoke
 
 echo "==> table4 --check"
 cargo run -q --release -p bench --bin table4 -- --check
+
+echo "==> table4 --check under ambient TM_CM/TM_FAULT"
+TM_CM=karma TM_FAULT=seed=3,intr=5 cargo run -q --release -p bench --bin table4 -- --check
 
 echo "==> perfbench observed-2t correctness pass (sanitizer + pinned fingerprints)"
 python3 perfbench/run.py --workload observed-2t --seconds 1 --trace 0 | tail -n 1 | tee /dev/stderr \

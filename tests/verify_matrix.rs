@@ -3,16 +3,8 @@
 //! back with a clean serializability report at smoke scale, and the
 //! seeded engine mutations must be detected on real applications.
 
-use stamp::tm::{MutationHook, SchedMode, SystemKind, TmConfig, Violation, DEFAULT_SCHED_SEED};
+use stamp::tm::{MutationHook, SystemKind, TmConfig, Violation, DEFAULT_SCHED_SEED};
 use stamp::util::{sim_variants, AppParams};
-
-/// Every run in this matrix pins the scheduler mode and seed
-/// explicitly, so a failure is an exact repro command — immune to
-/// ambient `TM_SCHED` / `TM_SCHED_SEED` settings in the environment.
-fn pinned(cfg: TmConfig) -> TmConfig {
-    cfg.sched(SchedMode::MinClock)
-        .sched_seed(DEFAULT_SCHED_SEED)
-}
 
 fn run(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
     match params {
@@ -35,7 +27,7 @@ fn run(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
 fn all_variants_all_systems_are_serializable() {
     for v in sim_variants() {
         for sys in SystemKind::ALL_TM {
-            let cfg = pinned(TmConfig::new(sys, 4).verify(true));
+            let cfg = TmConfig::new(sys, 4).verify(true);
             let rep = run(&v.scaled(64), cfg);
             let verify = rep.run.verify.as_ref().expect("verify enabled");
             assert!(
@@ -70,7 +62,7 @@ fn high_contention_cm_policies_are_serializable() {
             SystemKind::LazyStm,
             SystemKind::LazyHybrid,
         ] {
-            let cfg = pinned(TmConfig::new(sys, 8).verify(true).cm(policy));
+            let cfg = TmConfig::new(sys, 8).verify(true).cm(policy);
             let rep = run(&v.scaled(16), cfg);
             let verify = rep.run.verify.as_ref().expect("verify enabled");
             assert!(
@@ -94,12 +86,10 @@ fn skipped_validation_is_caught_on_vacation() {
     // accident. Each (scale, seed) pair is an exact repro.
     'search: for scale in [16, 8, 4] {
         for sched_seed in [DEFAULT_SCHED_SEED, 1, 2] {
-            let cfg = pinned(
-                TmConfig::new(SystemKind::LazyStm, 8)
-                    .verify(true)
-                    .mutation_hook(MutationHook::SkipTl2Validation),
-            )
-            .sched_seed(sched_seed);
+            let cfg = TmConfig::new(SystemKind::LazyStm, 8)
+                .verify(true)
+                .mutation_hook(MutationHook::SkipTl2Validation)
+                .sched_seed(sched_seed);
             let rep = run(&v.scaled(scale), cfg);
             let verify = rep.run.verify.as_ref().expect("verify enabled");
             if verify
@@ -127,12 +117,10 @@ fn corrupted_signature_is_caught_on_vacation() {
         let mut caught = false;
         'search: for scale in [16, 8, 4] {
             for sched_seed in [DEFAULT_SCHED_SEED, 1, 2] {
-                let cfg = pinned(
-                    TmConfig::new(sys, 8)
-                        .verify(true)
-                        .mutation_hook(MutationHook::CorruptSignatureHash),
-                )
-                .sched_seed(sched_seed);
+                let cfg = TmConfig::new(sys, 8)
+                    .verify(true)
+                    .mutation_hook(MutationHook::CorruptSignatureHash)
+                    .sched_seed(sched_seed);
                 let rep = run(&v.scaled(scale), cfg);
                 let verify = rep.run.verify.as_ref().expect("verify enabled");
                 if !verify.is_clean() {
