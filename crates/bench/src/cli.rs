@@ -23,10 +23,6 @@ fn threads(default: usize) -> Flag {
     Flag::range("threads", default, 1..=32, "logical processors")
 }
 
-fn switch(name: &'static str, help: &'static str) -> Flag {
-    Flag::switch(name, help)
-}
-
 fn json() -> Flag {
     let help = "write the JSON rows to <path> (- for stdout)";
     Flag::value("json", "<path>", None, help, |s| Ok(PathBuf::from(s)))
@@ -82,10 +78,10 @@ pub const HARNESSES: [(&str, fn() -> Vec<Flag>); 15] = [
     ("table2", Vec::new),
     ("table3", || with(vec![scale(4), threads(16)], run_rows(&[]))),
     ("table4", || with(vec![
-        switch("list", "print the 30 recommended configurations"),
-        switch("check", "byte-verify results/table4.json"),
-        switch("write", "regenerate results/table4.json"),
-        switch("smoke", "CI gate: 8 apps x 2 systems, invariant asserted"),
+        Flag::switch("list", "print the 30 recommended configurations"),
+        Flag::switch("check", "byte-verify results/table4.json"),
+        Flag::switch("write", "regenerate results/table4.json"),
+        Flag::switch("smoke", "CI gate: 8 apps x 2 systems, invariant asserted"),
         scale(TABLE4_SCALE),
         threads(TABLE4_THREADS),
         variants_row(Some(&TABLE4_APPS.join(","))),
@@ -95,16 +91,16 @@ pub const HARNESSES: [(&str, fn() -> Vec<Flag>); 15] = [
         scale(1),
         variants_row(None),
         Flag::range("threads16", 16usize, 1..=32, "threads of the retry columns"),
-        switch("working-sets", "add the cache-size sweep"),
+        Flag::switch("working-sets", "add the cache-size sweep"),
         json(),
     ], run_rows(&[]))),
     ("figure1", || with(vec![
         scale(1),
         variants_row(None),
         threadlist(),
-        switch("csv", "machine-readable rows only"),
-        switch("plot", "ASCII speedup charts"),
-        switch("with-lock", "add the global-lock baseline"),
+        Flag::switch("csv", "machine-readable rows only"),
+        Flag::switch("plot", "ASCII speedup charts"),
+        Flag::switch("with-lock", "add the global-lock baseline"),
         json(),
     ], run_rows(&[]))),
     ("ablation_backoff", || {
@@ -116,7 +112,7 @@ pub const HARNESSES: [(&str, fn() -> Vec<Flag>); 15] = [
         variants_row(Some("genome,intruder,vacation-high,kmeans-high")),
         threadlist(),
         Flag::value("system", "<name>", None, "force one TM system", tm_system),
-        switch("smoke", "CI-sized: scale >= 64, threads {2,8}"),
+        Flag::switch("smoke", "CI-sized: scale >= 64, threads {2,8}"),
         json(),
     ], run_rows(&["cm"]))),
     ("ablation_earlyrelease", || with(vec![
@@ -139,9 +135,9 @@ pub const HARNESSES: [(&str, fn() -> Vec<Flag>); 15] = [
         threads(16),
     ], run_rows(&[]))),
     ("schedfuzz", || with(vec![
-        switch("smoke", "CI gate (see the module docs)"),
-        switch("golden", "regenerate results/golden/*.json"),
-        switch("check", "with --golden: byte-verify instead"),
+        Flag::switch("smoke", "CI gate (see the module docs)"),
+        Flag::switch("golden", "regenerate results/golden/*.json"),
+        Flag::switch("check", "with --golden: byte-verify instead"),
         Flag::num("sweep", 0u64, "seeds under min-clock dispatch"),
         Flag::num("pct", 0u64, "seeds under PCT dispatch"),
         Flag::num("seed0", 0u64, "first scheduler seed of a sweep"),
@@ -154,7 +150,7 @@ pub const HARNESSES: [(&str, fn() -> Vec<Flag>); 15] = [
         json(),
     ], run_rows(&["sched", "sched-seed", "verify"]))),
     ("chaos", || with(vec![
-        switch("smoke", "CI gate: 2 rates x 30 seed pairs x 2 systems"),
+        Flag::switch("smoke", "CI gate: 2 rates x 30 seed pairs x 2 systems"),
         scale(64),
         Flag::value("variants", "<name>", Some("genome"), "the one variant to sweep", |s| {
             stamp_util::variant(s).ok_or_else(|| "expected one variant".to_string())

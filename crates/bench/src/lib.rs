@@ -19,7 +19,7 @@
 //! | `ablation_stall` | eager-HTM requester-aborts vs LogTM-style stalls |
 //! | `ablation_bayes_backend` | bayes ADtree vs record-scan sufficient statistics |
 //! | `ablation_cm` | §V-A contention management: the five `tm::cm` policies on the high-contention variants |
-//! | `schedfuzz` | deterministic-schedule explorer: seed sweeps + PCT adversarial interleavings under the sanitizer, and the `results/golden/` cycle-count regression files; `--faults <spec>` composes fault injection with the seed sweep |
+//! | `schedfuzz` | deterministic-schedule explorer: seed sweeps + PCT adversarial interleavings under the sanitizer, and the `results/golden/` cycle-count regression files; `--fault <spec>` (or `TM_FAULT`) composes fault injection with the seed sweep |
 //! | `chaos` | `tm::fault` robustness sweep: fault rates × (sched, fault) seed pairs × all 6 systems, sanitizer + liveness invariants as pass/fail, degradation curve in `results/chaos.txt` |
 //!
 //! `scripts/reproduce.sh` runs all of them and refreshes `results/`.

@@ -1,17 +1,21 @@
 //! Every binary's flag table, driven in process: `--help` lists every
 //! row, an unknown flag is an error naming it, each value row rejects a
 //! bad value (from the command line and from its environment variable),
-//! and the defaults parse. Then `figure1` as a process: exit codes 0
-//! and 2, one line on stderr, no panic.
+//! the defaults parse, and every harness row reads back good values
+//! with the type its binary reads. Then `figure1` as a process: exit
+//! codes 0 and 2, one line on stderr, no panic.
 
 use std::process::{Command, Output};
 
 /// Arguments and `TM_*` variables of one run.
 type Case<'a> = (&'a [&'a str], &'a [(&'a str, &'a str)]);
 
-use stamp_util::driver::app_rows;
-use stamp_util::flags::{Stop, Table};
-use stamp_util::AppKind;
+use std::path::PathBuf;
+
+use stamp_util::driver::{app_rows, tm_config};
+use stamp_util::flags::{Flags, Stop, Table};
+use stamp_util::{AppKind, Variant};
+use tm::{FaultConfig, SystemKind, TraceLevel};
 
 fn tables() -> Vec<Table> {
     let apps = AppKind::ALL.map(|a| Table::new(a.name(), app_rows(a)));
@@ -90,6 +94,97 @@ fn thread_rows_are_range_checked() {
                 _ => {}
             }
         }
+    }
+}
+
+fn harness(bin: &str) -> Table {
+    let (bin, rows) = bench::cli::HARNESSES
+        .into_iter()
+        .find(|(name, _)| *name == bin)
+        .unwrap();
+    Table::new(bin, rows())
+}
+
+#[test]
+fn figure1_flags_parse() {
+    let t = harness("figure1");
+    let args = |s: &str| s.split_whitespace().map(String::from).collect::<Vec<_>>();
+    let names = |f: &Flags| {
+        bench::cli::variants(f)
+            .iter()
+            .map(|v| v.name)
+            .collect::<Vec<_>>()
+    };
+    let f = t
+        .parse(
+            args("--scale 4 --variants kmeans-high,yada --threadlist 1,2"),
+            |_| None,
+        )
+        .unwrap();
+    assert_eq!(f.val::<u32>("scale"), 4);
+    assert_eq!(names(&f), ["kmeans-high", "yada"]);
+    assert_eq!(f.val::<Vec<usize>>("threadlist"), [1, 2]);
+    let f = t.parse(args("--variants yada,genome+"), |_| None).unwrap();
+    assert_eq!(names(&f), ["genome+", "yada"], "Table IV order");
+    let f = t.parse(Vec::new(), |_| None).unwrap();
+    assert_eq!(f.val::<u32>("scale"), 1);
+    assert_eq!(bench::cli::variants(&f), stamp_util::sim_variants());
+    assert_eq!(f.val::<Vec<usize>>("threadlist"), [1, 2, 4, 8, 16]);
+}
+
+/// A good value for value row `name` of harness `bin`, and the typed
+/// read its binary makes of it (of a shared TM row: `tm_config`'s).
+fn good_value(bin: &str, name: &str) -> (&'static str, fn(&Flags, &str)) {
+    fn val<T: Clone + 'static>(f: &Flags, name: &str) {
+        f.val::<T>(name);
+    }
+    fn tm(f: &Flags, _: &str) {
+        tm_config(f, SystemKind::LazyStm, 4);
+    }
+    match (bin, name) {
+        ("chaos", "variants") => ("yada", val::<Variant>),
+        (_, "variants") => ("yada,kmeans-high", val::<Vec<Variant>>),
+        (_, "scale") => ("4", val::<u32>),
+        (_, "threads" | "threads16") => ("2", val::<usize>),
+        (_, "threadlist") => ("1,2", val::<Vec<usize>>),
+        (_, "json") => ("-", val::<PathBuf>),
+        (_, "system") => ("eager-htm", val::<SystemKind>),
+        (_, "systems") => ("eager-htm,lazy-stm", val::<Vec<SystemKind>>),
+        ("schedfuzz", "sweep" | "pct" | "seed0") => ("3", val::<u64>),
+        ("ablation_earlyrelease", "x" | "y" | "z" | "n" | "seed") => ("8", val::<u32>),
+        (_, "sched-gap") => ("5", val::<u64>),
+        (_, "fault") => ("seed=3,intr=5", val::<FaultConfig>),
+        (_, "trace") => ("conflicts", val::<Vec<TraceLevel>>),
+        (_, "sched") => ("pct", tm),
+        (_, "sched-seed") => ("0x2a", tm),
+        (_, "cm") => ("karma", tm),
+        (_, "watchdog") => ("aborts=8", tm),
+        _ => panic!("{bin}: no read listed for --{name}"),
+    }
+}
+
+#[test]
+fn every_harness_row_reads_back_as_its_binary_reads_it() {
+    for (bin, rows) in bench::cli::HARNESSES {
+        let t = Table::new(bin, rows());
+        let mut args = Vec::new();
+        for row in t.rows() {
+            args.push(row.flag());
+            if row.takes_value() {
+                args.push(good_value(bin, row.name()).0.to_string());
+            }
+        }
+        let f = t
+            .parse(args, |_| None)
+            .unwrap_or_else(|e| panic!("{bin}: {e:?}"));
+        for row in t.rows() {
+            if row.takes_value() {
+                good_value(bin, row.name()).1(&f, row.name());
+            } else {
+                assert!(f.on(row.name()), "{bin} {}", row.flag());
+            }
+        }
+        tm_config(&f, SystemKind::LazyStm, 4);
     }
 }
 

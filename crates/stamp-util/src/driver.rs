@@ -31,8 +31,7 @@ fn parse_seed(v: &str) -> Result<u64, String> {
 }
 
 /// Every shared TM row, in `--help` order. Each sets one [`TmConfig`]
-/// field, or (`trace`) the process's trace levels; the rows with an
-/// environment variable are the [`run_rows`].
+/// field, or (`trace`) the process's trace levels.
 #[rustfmt::skip]
 fn all_rows() -> Vec<Flag> {
     let d = TmConfig::new(SystemKind::LazyStm, 1);
@@ -79,10 +78,16 @@ pub fn tm_rows(names: &[&str]) -> Vec<Flag> {
     rows
 }
 
-/// The shared rows that have an environment variable (how a run is
-/// scheduled, managed and observed, not what it runs), but `except`.
+/// The shared rows that say how a run is scheduled, managed and
+/// observed, not what it runs: the rows an unpinned harness takes.
+#[rustfmt::skip]
+const RUN_ROWS: [&str; 9] = [
+    "sched", "sched-gap", "sched-seed", "cm", "fault", "watchdog", "verify", "prof", "trace",
+];
+
+/// The `RUN_ROWS` but `except`.
 pub fn run_rows(except: &[&str]) -> Vec<Flag> {
-    let keep = |r: &Flag| r.var().is_some() && !except.contains(&r.name());
+    let keep = |r: &Flag| RUN_ROWS.contains(&r.name()) && !except.contains(&r.name());
     all_rows().into_iter().filter(keep).collect()
 }
 
@@ -225,6 +230,12 @@ mod tests {
         assert_eq!(cfg.cm, Some(CmPolicy::DEFAULT_LINEAR));
         assert_eq!(cfg.sched, SchedMode::MinClock);
         assert_eq!(cfg.sched_seed, 1);
+    }
+
+    #[test]
+    fn every_run_row_is_a_shared_row() {
+        assert_eq!(run_rows(&[]).len(), RUN_ROWS.len());
+        assert_eq!(run_rows(&["cm", "trace"]).len(), RUN_ROWS.len() - 2);
     }
 
     #[test]

@@ -2,7 +2,7 @@
 //! the original suite (Table IV of the paper); each struct is declared
 //! with its app binary's own flag rows ([`AppArgs`]).
 
-use crate::flags::{Flag, Flags, Table};
+use crate::flags::{Flag, Flags};
 
 /// Declares an app's parameter struct and its binary's own flag rows
 /// together: each field is one row (flag, default), and the field's
@@ -259,28 +259,6 @@ impl AppKind {
             AppKind::Ssca2 => "Creates efficient graph representation",
             AppKind::Vacation => "Emulates travel reservation system",
             AppKind::Yada => "Refines a Delaunay mesh",
-        }
-    }
-
-    /// The parameters `args`, in the app binary's own flags, describe.
-    ///
-    /// # Panics
-    ///
-    /// If the app's rows reject `args`.
-    pub fn params(self, args: &str) -> AppParams {
-        let table = Table::new(self.name(), self.rows());
-        let f = table
-            .parse(args.split_whitespace().map(String::from), |_| None)
-            .unwrap_or_else(|e| panic!("{self} {args}: {e:?}"));
-        match self {
-            AppKind::Bayes => AppParams::Bayes(AppArgs::from_flags(&f)),
-            AppKind::Genome => AppParams::Genome(AppArgs::from_flags(&f)),
-            AppKind::Intruder => AppParams::Intruder(AppArgs::from_flags(&f)),
-            AppKind::Kmeans => AppParams::Kmeans(AppArgs::from_flags(&f)),
-            AppKind::Labyrinth => AppParams::Labyrinth(AppArgs::from_flags(&f)),
-            AppKind::Ssca2 => AppParams::Ssca2(AppArgs::from_flags(&f)),
-            AppKind::Vacation => AppParams::Vacation(AppArgs::from_flags(&f)),
-            AppKind::Yada => AppParams::Yada(AppArgs::from_flags(&f)),
         }
     }
 
