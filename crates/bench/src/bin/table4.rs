@@ -13,8 +13,9 @@
 //! 4 threads, golden scheduler seed — see [`bench::table4`]); `--smoke`
 //! is the CI gate (all eight apps on eager HTM + lazy STM with the
 //! invariant asserted, plus a byte-identical double render); `--list`
-//! prints the 30 recommended configurations with their original
-//! command-line arguments (the paper's literal Table IV listing).
+//! prints the 30 recommended configurations with the paper's literal
+//! Table IV arguments and the app binary command that runs each one
+//! (kmeans, labyrinth and yada generate the inputs the paper names).
 //! Every run uses the pinned configuration, so no `TM_*` variable but
 //! `TM_TRACE` reaches it.
 
@@ -30,15 +31,20 @@ use tm::{ProfBucket, SystemKind};
 
 fn list() {
     println!("TABLE IV: Recommended configurations and data sets for STAMP");
-    println!("{:-<72}", "");
-    println!("{:<16} {:<44} Sim-sized", "Application", "Arguments");
-    println!("{:-<72}", "");
+    println!("{:-<140}", "");
+    println!(
+        "{:<16} {:<9} {:<44} Runnable command",
+        "Application", "Sim-sized", "Paper's arguments"
+    );
+    println!("{:-<140}", "");
     for v in stamp_util::all_variants() {
         println!(
-            "{:<16} {:<44} {}",
+            "{:<16} {:<9} {:<44} {} {}",
             v.name,
+            if v.sim_sized() { "yes" } else { "no (++)" },
             v.args,
-            if v.sim_sized() { "yes" } else { "no (++)" }
+            v.app(),
+            v.params.args()
         );
     }
     println!();

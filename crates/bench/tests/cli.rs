@@ -2,8 +2,8 @@
 //! row, an unknown flag is an error naming it, each value row rejects a
 //! bad value (from the command line and from its environment variable),
 //! the defaults parse, and every harness row reads back good values
-//! with the type its binary reads. Then `figure1` as a process: exit
-//! codes 0 and 2, one line on stderr, no panic.
+//! with the type its binary reads. Then `figure1` and `stamp_lint` as
+//! processes: exit codes 0 and 2, one line on stderr, no panic.
 
 use std::process::{Command, Output};
 
@@ -14,7 +14,7 @@ use std::path::PathBuf;
 
 use stamp_util::driver::{app_rows, tm_config};
 use stamp_util::flags::{Flags, Stop, Table};
-use stamp_util::{AppKind, Variant};
+use stamp_util::{AppArgs, AppKind, AppParams, Variant};
 use tm::{FaultConfig, SystemKind, TraceLevel};
 
 fn tables() -> Vec<Table> {
@@ -93,6 +93,31 @@ fn thread_rows_are_range_checked() {
                 }
                 _ => {}
             }
+        }
+    }
+}
+
+/// `line`, parsed by app `P`'s binary table, reads back as `p`.
+fn reads_back<P: AppArgs + PartialEq + std::fmt::Debug>(line: &str, p: &P) {
+    let t = Table::new(P::APP.name(), app_rows(P::APP));
+    let f = (t.parse(line.split_whitespace().map(String::from), |_| None))
+        .unwrap_or_else(|e| panic!("{} {line}: {e:?}", P::APP));
+    assert_eq!(&P::from_flags(&f), p, "{} {line}", P::APP);
+}
+
+#[test]
+fn every_listed_command_parses_back_to_its_variant() {
+    for v in stamp_util::all_variants() {
+        let line = v.params.args();
+        match &v.params {
+            AppParams::Bayes(p) => reads_back(&line, p),
+            AppParams::Genome(p) => reads_back(&line, p),
+            AppParams::Intruder(p) => reads_back(&line, p),
+            AppParams::Kmeans(p) => reads_back(&line, p),
+            AppParams::Labyrinth(p) => reads_back(&line, p),
+            AppParams::Ssca2(p) => reads_back(&line, p),
+            AppParams::Vacation(p) => reads_back(&line, p),
+            AppParams::Yada(p) => reads_back(&line, p),
         }
     }
 }
@@ -218,5 +243,28 @@ fn figure1_exits_0_on_help_and_2_on_bad_input() {
         assert!(stderr.starts_with("figure1: "), "{stderr}");
         assert!(!stderr.contains("panicked"), "{stderr}");
         assert!(out.stdout.is_empty(), "ran before failing");
+    }
+}
+
+#[test]
+fn stamp_lint_exits_0_on_help_and_2_on_a_flag() {
+    let lint = |args: &[&str]| {
+        Command::new(env!("CARGO_BIN_EXE_stamp_lint"))
+            .args(args)
+            .output()
+            .unwrap()
+    };
+    let out = lint(&["--help"]);
+    assert_eq!(out.status.code(), Some(0));
+    assert!(String::from_utf8_lossy(&out.stdout).starts_with("usage: stamp_lint"));
+    for flag in ["--bogus", "-x"] {
+        let out = lint(&[flag, "crates"]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert_eq!(
+            stderr,
+            format!("stamp_lint: unknown flag {flag} (see --help)\n")
+        );
+        assert!(out.stdout.is_empty(), "linted before failing");
     }
 }

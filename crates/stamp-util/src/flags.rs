@@ -142,6 +142,23 @@ impl Flag {
         format!("{dashes}{}", self.name)
     }
 
+    /// The row given `value`, as [`Table::parse`] reads it back:
+    /// attached to a one-letter flag (`-v32`), spaced after a long one
+    /// (`--points 2048`).
+    ///
+    /// # Panics
+    ///
+    /// If the row is a switch.
+    pub fn render(&self, value: &str) -> String {
+        assert!(self.takes_value(), "{} takes no value", self.flag());
+        let sep = if self.name.chars().count() == 1 {
+            ""
+        } else {
+            " "
+        };
+        format!("{}{sep}{value}", self.flag())
+    }
+
     /// The environment variable that sets the row, if any.
     pub fn var(&self) -> Option<&'static str> {
         self.env

@@ -26,6 +26,14 @@ macro_rules! app_params {
             fn from_flags(f: &Flags) -> Self {
                 $ty { $($field: f.val($flag)),* }
             }
+
+            fn args(&self) -> String {
+                let values = [$(self.$field.to_string()),*];
+                let rows = Self::rows();
+                let args: Vec<String> =
+                    rows.iter().zip(values).map(|(r, v)| r.render(&v)).collect();
+                args.join(" ")
+            }
         }
     };
 }
@@ -38,6 +46,9 @@ pub trait AppArgs: Sized {
     fn rows() -> Vec<Flag>;
     /// The parameters the already-checked `f` describes.
     fn from_flags(f: &Flags) -> Self;
+    /// The arguments that make the binary read exactly `self`: every
+    /// row, in row order, with its value.
+    fn args(&self) -> String;
 }
 
 app_params! {
@@ -305,6 +316,21 @@ pub enum AppParams {
 }
 
 impl AppParams {
+    /// The arguments that make the app binary read exactly these
+    /// parameters ([`AppArgs::args`]).
+    pub fn args(&self) -> String {
+        match self {
+            AppParams::Bayes(p) => p.args(),
+            AppParams::Genome(p) => p.args(),
+            AppParams::Intruder(p) => p.args(),
+            AppParams::Kmeans(p) => p.args(),
+            AppParams::Labyrinth(p) => p.args(),
+            AppParams::Ssca2(p) => p.args(),
+            AppParams::Vacation(p) => p.args(),
+            AppParams::Yada(p) => p.args(),
+        }
+    }
+
     /// Which application these parameters belong to.
     pub fn app(&self) -> AppKind {
         match self {

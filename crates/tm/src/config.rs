@@ -332,7 +332,9 @@ pub struct TmConfig {
     pub quantum: u64,
     /// Machine + barrier cost model.
     pub cost: CostModel,
-    /// log2 of the STM versioned-lock table size.
+    /// log2 of the number of STM versioned-lock indices. It sets how
+    /// addresses alias onto locks, not the memory the table uses: the
+    /// table stores only the entries a run writes ([`crate::locks`]).
     pub lock_table_bits: u32,
     /// STM conflict-detection granularity.
     pub stm_granularity: Granularity,

@@ -13,10 +13,10 @@
 //!
 //! Fiber stacks are fresh anonymous mappings ([`Mapping`]) with a
 //! `PROT_NONE` guard page below, so an overflow dies by `SIGSEGV`
-//! instead of writing over a neighbour. The same helper backs the large
-//! zero-initialized per-run tables ([`AtomicWords`]): the kernel hands
-//! out zero pages on first touch, so untouched entries cost neither a
-//! memset nor resident memory.
+//! instead of writing over a neighbour. The same helper backs the
+//! simulated heap's chunks ([`AtomicWords`], whose only user is
+//! [`crate::heap`]): the kernel hands out zero pages on first touch, so
+//! untouched words cost neither a memset nor resident memory.
 //!
 //! The context switch is x86_64 SysV assembly and the mapping constants
 //! are Linux's; other targets fail to compile with a message naming the
@@ -154,7 +154,10 @@ impl Drop for Mapping {
 
 /// A fixed-length table of zero-initialized `AtomicU64`s on fresh
 /// anonymous pages: no memset up front, and entries never touched never
-/// become resident.
+/// become resident. It stores the simulated heap's chunks, which a run
+/// fills from the bottom up; the lock table, whose hashed indices would
+/// touch nearly every page, keeps a sparse map instead
+/// ([`crate::locks`]).
 pub(crate) struct AtomicWords {
     map: Mapping,
     len: usize,

@@ -29,22 +29,44 @@ fn permute16(x: u16) -> u16 {
     x.wrapping_mul(0x9E37).rotate_left(7)
 }
 
-/// The four Table V hash functions, reduced modulo the signature size
-/// (`bits` must be the signature size in bits).
+/// The four Table V hash functions, reduced to the signature size
+/// (`bits`, a power of two, as [`Signature::new`] asserts) by masking,
+/// which gives the same positions as `% bits` without a division.
 ///
 /// Public so the property tests can check determinism, bit-range, and
 /// membership soundness directly against the hash family.
 #[inline]
 pub fn table_v_hashes(line: LineAddr, bits: u64) -> [u64; 4] {
+    debug_assert!(bits.is_power_of_two(), "signature size {bits}");
+    let mask = bits - 1;
     let l = line.0;
-    let l32 = l as u32;
-    let permuted = permute32(l32) as u64;
+    let permuted = permute32(l as u32) as u64;
     [
-        l % bits,
-        permuted % bits,
-        (permuted >> 10) % bits,
-        (permute16(l as u16) as u64) % bits,
+        l & mask,
+        permuted & mask,
+        (permuted >> 10) & mask,
+        (permute16(l as u16) as u64) & mask,
     ]
+}
+
+/// A line's four bit positions in every signature of one size. A scan
+/// over n threads' signatures hashes the line once into a probe and
+/// tests each signature with [`Signature::hits`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SigProbe {
+    bits: u64,
+    positions: [u64; 4],
+}
+
+impl SigProbe {
+    /// The positions of `line` in signatures of `bits` bits.
+    #[inline]
+    pub fn new(line: LineAddr, bits: u64) -> SigProbe {
+        SigProbe {
+            bits,
+            positions: table_v_hashes(line, bits),
+        }
+    }
 }
 
 /// A signature register readable by other cores (threads).
@@ -105,7 +127,16 @@ impl Signature {
     /// false positive.
     #[inline]
     pub fn maybe_contains(&self, line: LineAddr) -> bool {
-        table_v_hashes(line, self.bits)
+        self.hits(&SigProbe::new(line, self.bits))
+    }
+
+    /// [`Signature::maybe_contains`] for an already hashed line.
+    /// `probe` must be for this signature's size.
+    #[inline]
+    pub fn hits(&self, probe: &SigProbe) -> bool {
+        assert_eq!(probe.bits, self.bits, "probe for another signature size");
+        probe
+            .positions
             .iter()
             .all(|h| self.words[(h / 64) as usize].load(Ordering::Acquire) >> (h % 64) & 1 == 1)
     }

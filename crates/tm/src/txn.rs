@@ -26,6 +26,7 @@ use crate::heap::{TArray, TCell, TmValue};
 use crate::locks::LockWord;
 use crate::prof::ProfBucket;
 use crate::runtime::{LineSet, ThreadCtx, WordMap, NO_PRIORITY};
+use crate::signature::SigProbe;
 use crate::stats::TxnRecord;
 use crate::trace::TraceLevel;
 
@@ -1255,11 +1256,12 @@ impl Txn<'_> {
     fn check_overflow_sigs(&mut self, line: LineAddr) -> TxResult<()> {
         use std::sync::atomic::Ordering;
         let n = self.ctx.global.config.threads;
+        let probe = self.sig_probe(line);
         for t in 0..n {
             if t == self.ctx.tid || !self.ctx.global.active[t].load(Ordering::Acquire) {
                 continue;
             }
-            if self.ctx.global.overflow_sigs[t].maybe_contains(line) {
+            if self.ctx.global.overflow_sigs[t].hits(&probe) {
                 if crate::trace::enabled(TraceLevel::SigHits) {
                     crate::trace::emit(
                         TraceLevel::SigHits,
@@ -1274,7 +1276,7 @@ impl Txn<'_> {
                 // finish rolling back.
                 let mut spins = 0u32;
                 while self.ctx.global.active[t].load(Ordering::Acquire)
-                    && self.ctx.global.overflow_sigs[t].maybe_contains(line)
+                    && self.ctx.global.overflow_sigs[t].hits(&probe)
                 {
                     self.doom_and_record(line.0, t);
                     self.ctx.spin_charge(20);
@@ -1373,10 +1375,11 @@ impl Txn<'_> {
             self.ctx.global.read_sigs[self.ctx.tid].insert(line);
             self.ctx.txn.read_lines.insert(line.0);
             let n = self.ctx.global.config.threads;
+            let probe = self.sig_probe(line);
             for t in 0..n {
                 if t != self.ctx.tid
                     && self.ctx.global.active[t].load(Ordering::Acquire)
-                    && self.ctx.global.write_sigs[t].maybe_contains(line)
+                    && self.ctx.global.write_sigs[t].hits(&probe)
                 {
                     self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
                     return Err(Abort(())); // requester loses; backoff breaks ties
@@ -1397,10 +1400,11 @@ impl Txn<'_> {
             self.ctx.global.write_sigs[self.ctx.tid].insert(line);
             self.ctx.txn.write_lines.insert(line.0);
             let n = self.ctx.global.config.threads;
+            let probe = self.sig_probe(line);
             for t in 0..n {
                 if t != self.ctx.tid && self.ctx.global.active[t].load(Ordering::Acquire) {
-                    let sig_hit = self.ctx.global.write_sigs[t].maybe_contains(line)
-                        || self.ctx.global.read_sigs[t].maybe_contains(line);
+                    let sig_hit = self.ctx.global.write_sigs[t].hits(&probe)
+                        || self.ctx.global.read_sigs[t].hits(&probe);
                     if sig_hit {
                         self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
                         return Err(Abort(()));
@@ -1702,21 +1706,26 @@ impl Txn<'_> {
         Ok(())
     }
 
+    /// The signature positions of `line`, for probing every thread's
+    /// signatures (all are `config.signature_bits` wide).
+    fn sig_probe(&self, line: LineAddr) -> SigProbe {
+        SigProbe::new(line, self.ctx.global.config.signature_bits as u64)
+    }
+
     /// Doom every active transaction whose signature intersects this
-    /// commit's write lines.
-    fn scan_and_doom(&self, lines: &[u64]) {
+    /// commit's write lines, given with their probes.
+    fn scan_and_doom(&self, lines: &[(u64, SigProbe)]) {
         use std::sync::atomic::Ordering;
         let n = self.ctx.global.config.threads;
         for t in 0..n {
             if t == self.ctx.tid || !self.ctx.global.active[t].load(Ordering::Acquire) {
                 continue;
             }
-            for &l in lines {
-                let line = LineAddr(l);
-                if self.ctx.global.read_sigs[t].maybe_contains(line)
-                    || self.ctx.global.write_sigs[t].maybe_contains(line)
+            for (l, probe) in lines {
+                if self.ctx.global.read_sigs[t].hits(probe)
+                    || self.ctx.global.write_sigs[t].hits(probe)
                 {
-                    self.doom_and_record(l, t);
+                    self.doom_and_record(*l, t);
                     break;
                 }
             }
@@ -1749,7 +1758,9 @@ impl Txn<'_> {
             }
             return Err(Abort(()));
         }
-        let lines: Vec<u64> = self.ctx.txn.write_lines.iter().copied().collect();
+        let lines: Vec<(u64, SigProbe)> = (self.ctx.txn.write_lines.iter())
+            .map(|&l| (l, self.sig_probe(LineAddr(l))))
+            .collect();
         // Doom–apply–doom: any reader that slips between the scans still
         // gets doomed by the second scan, so no zombie survives.
         self.scan_and_doom(&lines);

@@ -5,7 +5,7 @@ use tm::addr::{LineAddr, WordAddr};
 use tm::cm::{make_cm, CmCtx, CmPolicy, CmShared};
 use tm::config::Granularity;
 use tm::locks::{GlobalClock, LockTable, LockWord};
-use tm::signature::{table_v_hashes, Signature};
+use tm::signature::{table_v_hashes, SigProbe, Signature};
 use tm::verify::find_cycle;
 use tm::{SystemKind, TmConfig, XorShift64};
 
@@ -51,6 +51,47 @@ proptest! {
         prop_assert!(table.try_lock(idx, (owner + 1) % 32).is_err());
         table.unlock(idx, version);
         prop_assert_eq!(table.load(idx), LockWord::Unlocked { version });
+    }
+
+    /// The sparse lock table behaves exactly like a dense array of lock
+    /// words: random lock, unlock and load sequences over the smallest
+    /// table give the same results as a `Vec` reference, entry by entry.
+    /// The addresses are drawn from the ~1000 that alias into 16
+    /// entries, so operations keep meeting each other's entries.
+    #[test]
+    fn lock_table_matches_dense_reference(
+        ops in prop::collection::vec(((0u8..3, 0usize..1 << 16), 0usize..32, 0u64..6), 1..400),
+    ) {
+        let table = LockTable::new(10, Granularity::Word);
+        let pool: Vec<u64> = (0..1 << 16)
+            .filter(|&a| table.index_of(WordAddr(a)) < 16)
+            .collect();
+        let mut dense = vec![LockWord::Unlocked { version: 0 }; table.len()];
+        for ((op, pick), owner, version) in ops {
+            let idx = table.index_of(WordAddr(pool[pick % pool.len()]));
+            let slot = &mut dense[idx as usize];
+            match op {
+                0 => {
+                    let expect = match *slot {
+                        LockWord::Unlocked { version } => {
+                            *slot = LockWord::Locked { owner };
+                            Ok(version)
+                        }
+                        locked => Err(locked),
+                    };
+                    prop_assert_eq!(table.try_lock(idx, owner), expect);
+                }
+                // Only a holder unlocks; version 0 is drawn often.
+                1 if matches!(slot, LockWord::Locked { .. }) => {
+                    table.unlock(idx, version);
+                    *slot = LockWord::Unlocked { version };
+                }
+                _ => prop_assert_eq!(table.load(idx), *slot),
+            }
+        }
+        for (idx, &word) in dense.iter().enumerate() {
+            prop_assert_eq!(table.load(idx as u32), word);
+        }
     }
 
     /// Line granularity maps all four words of a line to one entry;
@@ -143,6 +184,30 @@ proptest! {
         prop_assert_eq!(h1, h2);
         for h in h1 {
             prop_assert!(h < bits);
+        }
+    }
+
+    /// Masking reduces the Table V hashes exactly as `% bits` does, at
+    /// every power-of-two signature size from 64 to 2^16, and a probe
+    /// built once tests membership as `maybe_contains` does.
+    #[test]
+    fn table_v_hashes_mask_equals_modulo(
+        line in any::<u64>(),
+        members in prop::collection::vec(0u64..1_000_000, 0..64),
+    ) {
+        let l = line;
+        let permuted = (l as u32).wrapping_mul(0x9E37_79B1).rotate_left(13) as u64;
+        let permuted16 = (l as u16).wrapping_mul(0x9E37).rotate_left(7) as u64;
+        for bits_log2 in 6..=16 {
+            let bits = 1u64 << bits_log2;
+            let modulo = [l % bits, permuted % bits, (permuted >> 10) % bits, permuted16 % bits];
+            prop_assert_eq!(table_v_hashes(LineAddr(line), bits), modulo);
+            let sig = Signature::new(bits as usize);
+            for &m in &members {
+                sig.insert(LineAddr(m));
+            }
+            let probe = SigProbe::new(LineAddr(line), bits);
+            prop_assert_eq!(sig.hits(&probe), sig.maybe_contains(LineAddr(line)));
         }
     }
 
