@@ -34,9 +34,7 @@
 //! never host wall-clock sleeps — so `sim_cycles` remain meaningful
 //! and deterministic.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use crossbeam::utils::CachePadded;
+use std::cell::Cell;
 
 use crate::config::{SystemKind, TmConfig};
 use crate::sim::XorShift64;
@@ -182,23 +180,21 @@ impl std::fmt::Display for CmPolicy {
 /// live here rather than in the per-thread manager instances.
 #[derive(Debug)]
 pub struct CmShared {
-    karma: Vec<CachePadded<AtomicU64>>,
+    karma: Vec<Cell<u64>>,
 }
 
 impl CmShared {
     /// Shared state for `threads` logical processors.
     pub fn new(threads: usize) -> Self {
         CmShared {
-            karma: (0..threads)
-                .map(|_| CachePadded::new(AtomicU64::new(0)))
-                .collect(),
+            karma: (0..threads).map(|_| Cell::new(0)).collect(),
         }
     }
 
     /// Thread `tid`'s current karma (cumulative work invested in its
     /// in-flight transaction across aborted attempts).
     pub fn karma(&self, tid: usize) -> u64 {
-        self.karma[tid].load(Ordering::Relaxed)
+        self.karma[tid].get()
     }
 
     /// Credit `work` cycles of invested (and lost) work to `tid`.
@@ -207,23 +203,12 @@ impl CmShared {
     /// priority, not wrap to zero and lose every future conflict.
     pub fn add_karma(&self, tid: usize, work: u64) {
         let cell = &self.karma[tid];
-        let mut cur = cell.load(Ordering::Relaxed);
-        loop {
-            match cell.compare_exchange_weak(
-                cur,
-                cur.saturating_add(work),
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
+        cell.set(cell.get().saturating_add(work));
     }
 
     /// Reset `tid`'s karma (its transaction committed).
     pub fn reset_karma(&self, tid: usize) {
-        self.karma[tid].store(0, Ordering::Relaxed);
+        self.karma[tid].set(0);
     }
 
     /// Whether `tid` currently holds the maximum karma of all threads
@@ -234,7 +219,7 @@ impl CmShared {
             return false;
         }
         self.karma.iter().enumerate().all(|(t, k)| {
-            let theirs = k.load(Ordering::Relaxed);
+            let theirs = k.get();
             theirs < mine || (theirs == mine && t >= tid)
         })
     }
@@ -285,7 +270,7 @@ pub struct AbortAction {
 /// goes through [`CmShared`]. Implementations must be deterministic
 /// given the [`CmCtx`] contents (use `ctx.rng` for randomness) — the
 /// simulated-cycle results of a run must not depend on host timing.
-pub trait ContentionManager: Send {
+pub trait ContentionManager {
     /// Label for reports.
     fn name(&self) -> &'static str;
 

@@ -14,7 +14,7 @@
 //! Fiber stacks are fresh anonymous mappings ([`Mapping`]) with a
 //! `PROT_NONE` guard page below, so an overflow dies by `SIGSEGV`
 //! instead of writing over a neighbour. The same helper backs the
-//! simulated heap's chunks ([`AtomicWords`], whose only user is
+//! simulated heap's chunks ([`Words`], whose only user is
 //! [`crate::heap`]): the kernel hands out zero pages on first touch, so
 //! untouched words cost neither a memset nor resident memory.
 //!
@@ -33,7 +33,6 @@ use std::ffi::{c_int, c_void};
 use std::marker::PhantomData;
 use std::ops::Deref;
 use std::ptr::{self, NonNull};
-use std::sync::atomic::AtomicU64;
 
 /// Host page size on x86_64 Linux.
 const PAGE: usize = 4096;
@@ -68,18 +67,13 @@ extern "C" {
 }
 
 /// A private anonymous mapping of fresh zero pages, unmapped on drop.
-/// Only touched pages become resident (`MAP_NORESERVE`).
+/// Only touched pages become resident (`MAP_NORESERVE`). Neither `Send`
+/// nor `Sync` (it holds a raw pointer): its users, a fiber's stack and a
+/// heap chunk, stay on the OS thread of the run that made them.
 pub(crate) struct Mapping {
     base: NonNull<u8>,
     len: usize,
 }
-
-// SAFETY: a `Mapping` is an owned block of memory with no thread
-// affinity, like a `Box<[u8]>`; shared access goes through `AtomicWords`
-// (atomics) or the `!Send` `Fiber`.
-unsafe impl Send for Mapping {}
-// SAFETY: as above; `&Mapping` hands out only addresses.
-unsafe impl Sync for Mapping {}
 
 impl Mapping {
     /// Map `len` bytes (rounded up to whole pages), readable and
@@ -152,39 +146,42 @@ impl Drop for Mapping {
     }
 }
 
-/// A fixed-length table of zero-initialized `AtomicU64`s on fresh
+/// A fixed-length table of zero-initialized `Cell<u64>`s on fresh
 /// anonymous pages: no memset up front, and entries never touched never
 /// become resident. It stores the simulated heap's chunks, which a run
 /// fills from the bottom up; the lock table, whose hashed indices would
 /// touch nearly every page, keeps a sparse map instead
-/// ([`crate::locks`]).
-pub(crate) struct AtomicWords {
+/// ([`crate::locks`]). `!Sync`, like the cells it hands out.
+pub(crate) struct Words {
     map: Mapping,
     len: usize,
+    _cells: PhantomData<Cell<u64>>,
 }
 
-impl AtomicWords {
+impl Words {
     /// `len` words, all zero.
-    pub(crate) fn zeroed(len: usize) -> AtomicWords {
+    pub(crate) fn zeroed(len: usize) -> Words {
         let bytes = len
-            .checked_mul(std::mem::size_of::<AtomicU64>())
+            .checked_mul(std::mem::size_of::<u64>())
             .expect("table size overflows");
-        AtomicWords {
+        Words {
             map: Mapping::new(bytes.max(1), 0),
             len,
+            _cells: PhantomData,
         }
     }
 }
 
-impl Deref for AtomicWords {
-    type Target = [AtomicU64];
+impl Deref for Words {
+    type Target = [Cell<u64>];
 
-    fn deref(&self) -> &[AtomicU64] {
+    fn deref(&self) -> &[Cell<u64>] {
         // SAFETY: the mapping is page-aligned (so 8-byte aligned), at
         // least `len * 8` bytes long, readable and writable, and starts
-        // zero-filled; all-zero bits are a valid `AtomicU64`. It lives
-        // as long as `self`, and all mutation goes through the atomics.
-        unsafe { std::slice::from_raw_parts(self.map.base().cast::<AtomicU64>(), self.len) }
+        // zero-filled; all-zero bits are a valid `Cell<u64>`. It lives
+        // as long as `self`, and all mutation goes through the cells,
+        // which `Words` being `!Sync` keeps on one OS thread.
+        unsafe { std::slice::from_raw_parts(self.map.base().cast::<Cell<u64>>(), self.len) }
     }
 }
 

@@ -1,5 +1,5 @@
 //! A minimal FNV/Fx-style hasher for the engine's hot hash maps (write
-//! buffers, line sets, directory shards, and `tm::verify`'s per-attempt
+//! buffers, line sets, the line directory, and `tm::verify`'s per-attempt
 //! line index, released-line set, bypass dedup set, and the install-run,
 //! edge-dedup and first-seen maps of its finalize pass). Avoids an
 //! external dependency; quality is adequate because keys are simulated

@@ -10,17 +10,28 @@
 //! exactly as the paper describes.
 //!
 //! Storage is chunked: chunks of `2^20` words (8 MiB of simulated memory)
-//! are allocated on demand with a lock-free bump pointer, so allocation is
-//! legal inside transactions (aborted transactions leak their allocations,
-//! like the original STAMP `TM_MALLOC` on systems without transactional
+//! are mapped on demand behind a bump pointer, so allocation is legal
+//! inside transactions (aborted transactions leak their allocations, like
+//! the original STAMP `TM_MALLOC` on systems without transactional
 //! allocators — the arena is reclaimed when the heap is dropped).
+//!
+//! A heap belongs to the OS thread that made it: its words are
+//! `Cell<u64>`s, so `TmHeap` is neither `Send` nor `Sync`, and the logical
+//! threads of a run, fibers on that one OS thread, interleave only at
+//! scheduler calls (see [`crate::runtime`]). Sharing one with another OS
+//! thread does not compile:
+//!
+//! ```compile_fail,E0277
+//! let heap = tm::TmHeap::new();
+//! std::thread::scope(|s| {
+//!     s.spawn(|| heap.alloc_words(1));
+//! });
+//! ```
 
-use std::sync::atomic::{AtomicPtr, AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 
 use crate::addr::{WordAddr, WORDS_PER_LINE};
-use crate::fiber::AtomicWords;
+use crate::fiber::Words;
 
 /// log2 of the chunk size in words.
 const CHUNK_BITS: u32 = 20;
@@ -100,20 +111,19 @@ impl TmValue for WordAddr {
 
 /// The simulated transactional address space.
 ///
-/// See the [module documentation](self) for the storage model. All word
-/// accesses are atomic; `raw_load`/`raw_store` are intended for
-/// single-threaded setup and verification phases, while transactional and
-/// costed accesses go through [`crate::txn::Txn`] and
-/// [`crate::runtime::ThreadCtx`].
+/// See the [module documentation](self) for the storage model.
+/// `raw_load`/`raw_store` are intended for single-threaded setup and
+/// verification phases, while transactional and costed accesses go
+/// through [`crate::txn::Txn`] and [`crate::runtime::ThreadCtx`].
 pub struct TmHeap {
-    /// Published chunk pointers; index `addr >> CHUNK_BITS`.
-    chunks: Box<[AtomicPtr<AtomicU64>]>,
+    /// Chunk base pointers, null until mapped; index `addr >> CHUNK_BITS`.
+    chunks: Box<[Cell<*const Cell<u64>>]>,
     /// Bump allocator (in words).
-    next: AtomicU64,
+    next: Cell<u64>,
     /// Owning storage for the chunks, for deallocation on drop. Each is
     /// fresh zero pages, so a chunk costs only the pages its
     /// allocations touch.
-    owned: Mutex<Vec<AtomicWords>>,
+    owned: RefCell<Vec<Words>>,
 }
 
 impl Default for TmHeap {
@@ -126,13 +136,12 @@ impl TmHeap {
     /// Create an empty heap. Line 0 is reserved so that
     /// [`WordAddr::NULL`] never aliases an allocation.
     pub fn new() -> Self {
-        let chunks: Vec<AtomicPtr<AtomicU64>> = (0..MAX_CHUNKS)
-            .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-            .collect();
         let heap = TmHeap {
-            chunks: chunks.into_boxed_slice(),
-            next: AtomicU64::new(WORDS_PER_LINE), // skip line 0
-            owned: Mutex::new(Vec::new()),
+            chunks: (0..MAX_CHUNKS)
+                .map(|_| Cell::new(std::ptr::null()))
+                .collect(),
+            next: Cell::new(WORDS_PER_LINE), // skip line 0
+            owned: RefCell::new(Vec::new()),
         };
         heap.ensure_chunk(0);
         heap
@@ -140,23 +149,29 @@ impl TmHeap {
 
     /// Total words allocated so far (including the reserved line).
     pub fn allocated_words(&self) -> u64 {
-        self.next.load(Ordering::Relaxed)
+        self.next.get()
     }
 
     fn ensure_chunk(&self, chunk_idx: usize) {
         assert!(chunk_idx < MAX_CHUNKS, "simulated heap exhausted");
-        if !self.chunks[chunk_idx].load(Ordering::Acquire).is_null() {
-            return;
+        if self.chunks[chunk_idx].get().is_null() {
+            let chunk = Words::zeroed(CHUNK_WORDS as usize);
+            self.chunks[chunk_idx].set(chunk.as_ptr());
+            self.owned.borrow_mut().push(chunk);
         }
-        let mut owned = self.owned.lock();
-        // Re-check under the lock: another thread may have installed it.
-        if !self.chunks[chunk_idx].load(Ordering::Acquire).is_null() {
-            return;
+    }
+
+    /// Bump `words` words starting at the next multiple of `align`,
+    /// mapping every chunk the range touches.
+    fn bump(&self, words: u64, align: u64) -> WordAddr {
+        assert!(words > 0, "zero-sized allocation");
+        let start = self.next.get().next_multiple_of(align);
+        let end = start + words;
+        self.next.set(end);
+        for c in (start >> CHUNK_BITS)..=((end - 1) >> CHUNK_BITS) {
+            self.ensure_chunk(c as usize);
         }
-        let chunk = AtomicWords::zeroed(CHUNK_WORDS as usize);
-        let ptr = chunk.as_ptr().cast_mut();
-        owned.push(chunk);
-        self.chunks[chunk_idx].store(ptr, Ordering::Release);
+        WordAddr(start)
     }
 
     /// Allocate `words` contiguous words, zero-initialized.
@@ -169,14 +184,7 @@ impl TmHeap {
     /// Panics if the simulated address space (32 GiB) is exhausted or
     /// `words` is 0.
     pub fn alloc_words(&self, words: u64) -> WordAddr {
-        assert!(words > 0, "zero-sized allocation");
-        let start = self.next.fetch_add(words, Ordering::Relaxed);
-        let first_chunk = (start >> CHUNK_BITS) as usize;
-        let last_chunk = ((start + words - 1) >> CHUNK_BITS) as usize;
-        for c in first_chunk..=last_chunk {
-            self.ensure_chunk(c);
-        }
-        WordAddr(start)
+        self.bump(words, 1)
     }
 
     /// Allocate `words` words aligned to (and padded out to) whole cache
@@ -184,28 +192,12 @@ impl TmHeap {
     ///
     /// labyrinth uses this to pad each maze grid point to a full line, as
     /// the paper requires for correctness of early release (§III-B5).
+    ///
+    /// # Panics
+    ///
+    /// As [`TmHeap::alloc_words`].
     pub fn alloc_words_line_padded(&self, words: u64) -> WordAddr {
-        let padded = words.div_ceil(WORDS_PER_LINE) * WORDS_PER_LINE;
-        // Bump until we land on a line boundary. The bump pointer only
-        // moves forward, so a small number of attempts suffices under
-        // contention; each attempt wastes at most a line.
-        loop {
-            let start = self.next.load(Ordering::Relaxed);
-            let aligned = start.div_ceil(WORDS_PER_LINE) * WORDS_PER_LINE;
-            let end = aligned + padded;
-            if self
-                .next
-                .compare_exchange(start, end, Ordering::Relaxed, Ordering::Relaxed)
-                .is_ok()
-            {
-                let first_chunk = (aligned >> CHUNK_BITS) as usize;
-                let last_chunk = ((end - 1) >> CHUNK_BITS) as usize;
-                for c in first_chunk..=last_chunk {
-                    self.ensure_chunk(c);
-                }
-                return WordAddr(aligned);
-            }
-        }
+        self.bump(words.next_multiple_of(WORDS_PER_LINE), WORDS_PER_LINE)
     }
 
     /// Allocate a typed cell initialized to `init`.
@@ -236,17 +228,17 @@ impl TmHeap {
     }
 
     #[inline]
-    fn slot(&self, addr: WordAddr) -> &AtomicU64 {
+    fn slot(&self, addr: WordAddr) -> &Cell<u64> {
         debug_assert!(
-            addr.0 >= WORDS_PER_LINE && addr.0 < self.next.load(Ordering::Relaxed),
+            self.is_mapped(addr),
             "access to unallocated simulated address {addr}"
         );
         let chunk_idx = (addr.0 >> CHUNK_BITS) as usize;
         let offset = (addr.0 & (CHUNK_WORDS - 1)) as usize;
-        let ptr = self.chunks[chunk_idx].load(Ordering::Acquire);
+        let ptr = self.chunks[chunk_idx].get();
         assert!(!ptr.is_null(), "access to unmapped simulated chunk");
         // SAFETY: `ptr` points to the start of a live table of
-        // CHUNK_WORDS AtomicU64s owned by `self.owned`, which is never
+        // CHUNK_WORDS cells owned by `self.owned`, which is never
         // shrunk or freed before the heap drops, and `offset < CHUNK_WORDS`.
         unsafe { &*ptr.add(offset) }
     }
@@ -257,7 +249,7 @@ impl TmHeap {
     /// aborts instead of crashing.
     #[inline]
     pub fn is_mapped(&self, addr: WordAddr) -> bool {
-        addr.0 >= WORDS_PER_LINE && addr.0 < self.next.load(Ordering::Relaxed)
+        addr.0 >= WORDS_PER_LINE && addr.0 < self.next.get()
     }
 
     /// Load a word without any instrumentation or cost accounting.
@@ -267,13 +259,13 @@ impl TmHeap {
     /// loads instead.
     #[inline]
     pub fn raw_load(&self, addr: WordAddr) -> u64 {
-        self.slot(addr).load(Ordering::Acquire)
+        self.slot(addr).get()
     }
 
     /// Store a word without any instrumentation or cost accounting.
     #[inline]
     pub fn raw_store(&self, addr: WordAddr, value: u64) {
-        self.slot(addr).store(value, Ordering::Release)
+        self.slot(addr).set(value)
     }
 
     /// Typed uninstrumented load of a cell.
@@ -519,26 +511,8 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_alloc_distinct() {
-        let heap = std::sync::Arc::new(TmHeap::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let h = heap.clone();
-            handles.push(std::thread::spawn(move || {
-                let mut addrs = Vec::new();
-                for _ in 0..1000 {
-                    addrs.push(h.alloc_words(3).0);
-                }
-                addrs
-            }));
-        }
-        let mut all: Vec<u64> = handles
-            .into_iter()
-            .flat_map(|h| h.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        for w in all.windows(2) {
-            assert!(w[1] - w[0] >= 3, "overlapping allocations");
-        }
+    #[should_panic(expected = "zero-sized allocation")]
+    fn zero_word_line_padded_alloc_panics() {
+        TmHeap::new().alloc_words_line_padded(0);
     }
 }

@@ -20,9 +20,7 @@
 //! writes, not to its size. Where a lock word is stored is invisible to
 //! the simulated machine, so no simulated cycle depends on it.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
+use std::cell::{Cell, RefCell};
 
 use crate::addr::WordAddr;
 use crate::config::Granularity;
@@ -67,7 +65,7 @@ impl LockWord {
 /// The TL2 global version clock.
 #[derive(Debug, Default)]
 pub struct GlobalClock {
-    clock: AtomicU64,
+    clock: Cell<u64>,
 }
 
 impl GlobalClock {
@@ -79,22 +77,22 @@ impl GlobalClock {
     /// Current version (a transaction's read timestamp `rv`).
     #[inline]
     pub fn read(&self) -> u64 {
-        self.clock.load(Ordering::Acquire)
+        self.clock.get()
     }
 
     /// Advance the clock and return the new write version `wv`.
     #[inline]
     pub fn increment(&self) -> u64 {
-        self.clock.fetch_add(1, Ordering::AcqRel) + 1
+        let wv = self.clock.get() + 1;
+        self.clock.set(wv);
+        wv
     }
 }
 
 /// The global versioned-lock table.
 pub struct LockTable {
-    /// Lock index -> raw lock word, for the entries that are not 0. The
-    /// engine runs a whole run on one OS thread, so the mutex is
-    /// uncontended; it makes the table `Sync` for library callers.
-    words: Mutex<FxHashMap<u32, u64>>,
+    /// Lock index -> raw lock word, for the entries that are not 0.
+    words: RefCell<FxHashMap<u32, u64>>,
     mask: u64,
     gran_shift: u32,
 }
@@ -106,7 +104,7 @@ impl LockTable {
     pub fn new(bits: u32, granularity: Granularity) -> Self {
         assert!((10..=28).contains(&bits), "unreasonable lock table size");
         LockTable {
-            words: Mutex::new(FxHashMap::default()),
+            words: RefCell::new(FxHashMap::default()),
             mask: (1u64 << bits) - 1,
             gran_shift: match granularity {
                 Granularity::Word => 0, // word addresses are already word-granular
@@ -126,7 +124,7 @@ impl LockTable {
     /// Load and decode the lock word at `idx`.
     #[inline]
     pub fn load(&self, idx: u32) -> LockWord {
-        LockWord::decode(self.words.lock().get(&idx).copied().unwrap_or(0))
+        LockWord::decode(self.words.borrow().get(&idx).copied().unwrap_or(0))
     }
 
     /// Try to lock entry `idx` for `owner`. On success returns the
@@ -134,7 +132,7 @@ impl LockTable {
     /// returns `Err` with the observed word.
     #[inline]
     pub fn try_lock(&self, idx: u32, owner: usize) -> Result<u64, LockWord> {
-        let mut words = self.words.lock();
+        let mut words = self.words.borrow_mut();
         let slot = words.entry(idx).or_default();
         match LockWord::decode(*slot) {
             LockWord::Unlocked { version } => {
@@ -150,7 +148,7 @@ impl LockTable {
     /// The caller must hold the lock.
     #[inline]
     pub fn unlock(&self, idx: u32, version: u64) {
-        let mut words = self.words.lock();
+        let mut words = self.words.borrow_mut();
         debug_assert!(matches!(
             LockWord::decode(words.get(&idx).copied().unwrap_or(0)),
             LockWord::Locked { .. }
@@ -229,7 +227,7 @@ mod tests {
         for idx in 0..1024 {
             assert_eq!(t.load(idx), LockWord::Unlocked { version: 0 });
         }
-        assert_eq!(t.words.lock().len(), 0, "loads must not insert");
+        assert_eq!(t.words.borrow().len(), 0, "loads must not insert");
         let mut written = std::collections::HashSet::new();
         for (i, addr) in (0..600u64).map(|a| a * 37).enumerate() {
             let idx = t.index_of(WordAddr(addr));
@@ -238,7 +236,7 @@ mod tests {
                 // Every third release restores version 0.
                 t.unlock(idx, if i % 3 == 0 { 0 } else { i as u64 });
             }
-            assert!(t.words.lock().len() <= written.len());
+            assert!(t.words.borrow().len() <= written.len());
         }
         for idx in 0..1024 {
             if !written.contains(&idx) {
@@ -267,27 +265,5 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a, c);
         assert_ne!(a, d);
-    }
-
-    #[test]
-    fn concurrent_lock_exclusion() {
-        use std::sync::Arc;
-        let t = Arc::new(LockTable::new(10, Granularity::Word));
-        let idx = t.index_of(WordAddr(5));
-        let winners = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for tid in 0..8 {
-            let t = t.clone();
-            let w = winners.clone();
-            handles.push(std::thread::spawn(move || {
-                if t.try_lock(idx, tid).is_ok() {
-                    w.fetch_add(1, Ordering::Relaxed);
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(winners.load(Ordering::Relaxed), 1);
     }
 }

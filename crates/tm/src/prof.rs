@@ -33,7 +33,7 @@
 //! zero simulated cycles, so `sim_cycles` and every engine statistic
 //! are bit-identical with profiling on or off.
 
-use parking_lot::Mutex;
+use std::cell::RefCell;
 
 use crate::fxhash::FxHashMap;
 
@@ -158,10 +158,10 @@ struct LineCounts {
 }
 
 /// Cross-thread conflict table, shared through the run's global state.
-/// Guarded by a host mutex; never charges simulated cycles.
+/// Never charges simulated cycles.
 #[derive(Debug, Default)]
 pub(crate) struct ProfShared {
-    conflicts: Mutex<FxHashMap<u64, LineCounts>>,
+    conflicts: RefCell<FxHashMap<u64, LineCounts>>,
 }
 
 impl ProfShared {
@@ -169,7 +169,7 @@ impl ProfShared {
     /// or doomed `victim` at heap line `line`.
     pub(crate) fn record(&self, line: u64, aborter: Option<usize>, victim: usize) {
         let a = aborter.map(|t| t as u8).unwrap_or(UNKNOWN_TID);
-        let mut tbl = self.conflicts.lock();
+        let mut tbl = self.conflicts.borrow_mut();
         let entry = tbl.entry(line).or_default();
         entry.events += 1;
         *entry.pairs.entry((a, victim as u8)).or_default() += 1;
@@ -177,9 +177,9 @@ impl ProfShared {
 
     /// Drain into the deterministic report form (sorted: events
     /// descending, then line ascending). Called once at finalize, via
-    /// the shared `Arc<Global>`.
+    /// the shared `Rc<Global>`.
     pub(crate) fn drain_hot_lines(&self) -> Vec<HotLine> {
-        let tbl = std::mem::take(&mut *self.conflicts.lock());
+        let tbl = self.conflicts.take();
         let mut lines: Vec<HotLine> = tbl
             .into_iter()
             .map(|(line, c)| {

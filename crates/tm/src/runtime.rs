@@ -1,13 +1,26 @@
 //! The TM runtime: global system state, per-thread execution contexts,
 //! and the fork-join entry point that runs an application phase on the
 //! simulated machine.
+//!
+//! # Interleaving model
+//!
+//! A run's logical threads are fibers on the OS thread that calls
+//! [`TmRuntime::run`], and only the scheduler's turn holder runs. Threads
+//! of a run interleave only inside scheduler calls: the clock publishes
+//! (`advance`, `flush`, `spin_charge`), [`ThreadCtx::barrier`], and the
+//! turn gate and exit (`wait_turn`, `done`). Between two such calls, a
+//! thread's code runs without interruption, so a read-modify-write of
+//! run state needs no atomic, CAS loop or lock. Run state is therefore
+//! plain `Cell`/`RefCell` behind an `Rc`: the compiler keeps it on the
+//! run's OS thread, and the one rule it cannot check is that no
+//! `RefCell` borrow is held across a scheduler call (the next thread to
+//! run would panic with "already borrowed"). Every conflict, wait and
+//! serialisation the simulated machine models is charged in simulated
+//! cycles ([`crate::sim`]), never in host synchronisation.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
-use std::sync::Arc;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
-
-use crossbeam::utils::CachePadded;
 
 use crate::addr::{LineAddr, WordAddr};
 use crate::cache::CacheModel;
@@ -34,15 +47,15 @@ pub(crate) const NO_PRIORITY: usize = usize::MAX;
 /// Global TM system state shared by all logical threads of a run.
 pub(crate) struct Global {
     pub config: TmConfig,
-    pub heap: Arc<TmHeap>,
+    pub heap: Rc<TmHeap>,
     pub clock: GlobalClock,
     pub locks: LockTable,
     pub directory: Directory,
     /// Per-thread doom flags (set by committers/priority holders).
-    pub doomed: Vec<CachePadded<AtomicBool>>,
+    pub doomed: Vec<Cell<bool>>,
     /// Per-thread "inside a transaction" flags (observed by conflict
     /// scans).
-    pub active: Vec<CachePadded<AtomicBool>>,
+    pub active: Vec<Cell<bool>>,
     /// Per-thread read signatures (hybrids).
     pub read_sigs: Vec<Signature>,
     /// Per-thread write signatures (hybrids).
@@ -53,17 +66,17 @@ pub(crate) struct Global {
     /// overflow mode.
     pub commit_token: SimMutex,
     /// Eager-HTM priority token holder.
-    pub priority: AtomicUsize,
+    pub priority: Cell<usize>,
     /// Tid of the thread executing in irrevocable mode (the starvation
     /// watchdog's escalation path), or [`NO_PRIORITY`] when free. While
     /// held, other threads park at the top of `begin_attempt`, so the
     /// holder runs serialized with in-place writes and no abort path.
-    pub irrevocable: AtomicUsize,
+    pub irrevocable: Cell<usize>,
     /// Monotonic transaction-timestamp source (eager-HTM stall policy's
     /// deadlock avoidance).
-    pub ts_counter: std::sync::atomic::AtomicU64,
+    pub ts_counter: Cell<u64>,
     /// Per-thread timestamp of the current transaction attempt.
-    pub txn_ts: Vec<CachePadded<std::sync::atomic::AtomicU64>>,
+    pub txn_ts: Vec<Cell<u64>>,
     pub scheduler: Scheduler,
     /// Cross-thread contention-manager state (Karma priorities).
     pub cm_shared: CmShared,
@@ -75,7 +88,7 @@ pub(crate) struct Global {
 }
 
 impl Global {
-    fn new(config: TmConfig, heap: Arc<TmHeap>) -> Self {
+    fn new(config: TmConfig, heap: Rc<TmHeap>) -> Self {
         let n = config.threads;
         let sig_bits = config.signature_bits;
         // Mutation hook: corrupted signatures mis-insert so the
@@ -86,22 +99,16 @@ impl Global {
             clock: GlobalClock::new(),
             locks: LockTable::new(config.lock_table_bits, config.stm_granularity),
             directory: Directory::new(),
-            doomed: (0..n)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
-            active: (0..n)
-                .map(|_| CachePadded::new(AtomicBool::new(false)))
-                .collect(),
+            doomed: (0..n).map(|_| Cell::new(false)).collect(),
+            active: (0..n).map(|_| Cell::new(false)).collect(),
             read_sigs: (0..n).map(new_sig).collect(),
             write_sigs: (0..n).map(new_sig).collect(),
             overflow_sigs: (0..n).map(new_sig).collect(),
             commit_token: SimMutex::new(),
-            priority: AtomicUsize::new(NO_PRIORITY),
-            irrevocable: AtomicUsize::new(NO_PRIORITY),
-            ts_counter: std::sync::atomic::AtomicU64::new(1),
-            txn_ts: (0..n)
-                .map(|_| CachePadded::new(std::sync::atomic::AtomicU64::new(u64::MAX)))
-                .collect(),
+            priority: Cell::new(NO_PRIORITY),
+            irrevocable: Cell::new(NO_PRIORITY),
+            ts_counter: Cell::new(1),
+            txn_ts: (0..n).map(|_| Cell::new(u64::MAX)).collect(),
             scheduler: Scheduler::for_fibers(n, config.quantum, config.sched, config.sched_seed),
             cm_shared: CmShared::new(n),
             verify: config.verify.then(VerifyState::default),
@@ -141,6 +148,13 @@ pub struct RunReport {
     pub prof: Option<ProfReport>,
 }
 
+// A report carries no run state, so it can leave the run's OS thread
+// (say, from a worker that ran the simulation).
+const _: fn() = || {
+    fn send<T: Send>() {}
+    send::<RunReport>();
+};
+
 impl RunReport {
     /// Speedup of this run relative to a baseline's simulated cycles.
     pub fn speedup_over(&self, baseline: &RunReport) -> f64 {
@@ -160,13 +174,13 @@ impl RunReport {
 /// body, and read back results through the heap.
 pub struct TmRuntime {
     config: TmConfig,
-    heap: Arc<TmHeap>,
+    heap: Rc<TmHeap>,
 }
 
 impl TmRuntime {
     /// Create a runtime with a fresh heap.
     pub fn new(config: TmConfig) -> Self {
-        let heap = Arc::new(TmHeap::new());
+        let heap = Rc::new(TmHeap::new());
         TmRuntime { config, heap }
     }
 
@@ -176,13 +190,13 @@ impl TmRuntime {
     }
 
     /// The transactional heap (for setup/verification phases).
-    pub fn heap(&self) -> &Arc<TmHeap> {
+    pub fn heap(&self) -> &TmHeap {
         &self.heap
     }
 
     /// A phase barrier sized for this runtime's thread count.
-    pub fn new_barrier(&self) -> Arc<SimBarrier> {
-        Arc::new(SimBarrier::new(self.config.threads))
+    pub fn new_barrier(&self) -> SimBarrier {
+        SimBarrier::new(self.config.threads)
     }
 
     /// Run one parallel phase: `body(ctx)` executes once on each of the
@@ -191,7 +205,8 @@ impl TmRuntime {
     ///
     /// Each logical thread is a fiber on the calling OS thread, and a
     /// driver loop resumes whichever one holds the scheduler's turn
-    /// until all have finished.
+    /// until all have finished (see the [module docs](self) for where
+    /// threads interleave). `body` therefore need not be `Sync`.
     ///
     /// # Panics
     ///
@@ -202,11 +217,11 @@ impl TmRuntime {
     /// peers wait at).
     pub fn run<F>(&self, body: F) -> RunReport
     where
-        F: Fn(&mut ThreadCtx) + Sync,
+        F: Fn(&mut ThreadCtx),
     {
         // A fresh global per phase keeps scheduler clocks and stats
         // independent across phases while reusing heap contents.
-        let global = Arc::new(Global::new(self.config.clone(), self.heap.clone()));
+        let global = Rc::new(Global::new(self.config.clone(), self.heap.clone()));
         let n = self.config.threads;
         type Collected = (ThreadStats, Option<ProfThreadReport>);
         let collected: Vec<Cell<Option<Collected>>> = (0..n).map(|_| Cell::new(None)).collect();
@@ -317,7 +332,7 @@ impl std::fmt::Debug for TmRuntime {
 /// ([`ThreadCtx::work`]), and phase barriers.
 pub struct ThreadCtx {
     pub(crate) tid: usize,
-    pub(crate) global: Arc<Global>,
+    pub(crate) global: Rc<Global>,
     /// Total simulated cycles of this thread (published + pending).
     pub(crate) clock: u64,
     /// Cycles not yet published to the scheduler.
@@ -351,7 +366,7 @@ pub struct ThreadCtx {
 }
 
 impl ThreadCtx {
-    fn new(tid: usize, global: Arc<Global>) -> Self {
+    fn new(tid: usize, global: Rc<Global>) -> Self {
         let cache = global
             .config
             .cache_sim
@@ -555,9 +570,9 @@ impl ThreadCtx {
         }
     }
 
-    /// Publish pending cycles to the scheduler (possibly blocking while
+    /// Publish pending cycles to the scheduler (possibly yielding while
     /// this thread is ahead of the pack). Must not be called while
-    /// holding any lock.
+    /// holding a `RefCell` borrow of run state.
     pub(crate) fn flush(&mut self) {
         if self.pending > 0 {
             let pending = self.pending;
@@ -618,8 +633,8 @@ impl ThreadCtx {
     //
     // Every heap mutation and transactional read funnels through one
     // of the helpers below. With verification off they compile to the
-    // plain raw heap access; with it on, the access happens under the
-    // sanitizer's mutex paired with a shadow-heap update, so each
+    // plain raw heap access; with it on, the access is paired with a
+    // shadow-heap update in the same uninterrupted step, so each
     // observation carries an exact (value, version). None of them
     // charge simulated cycles or touch the scheduler — the sanitizer
     // is a pure observer and `sim_cycles` stays bit-identical.

@@ -654,7 +654,9 @@ mod tests {
         const ROUNDS: usize = 8;
         let sched = Arc::new(sched(2, 0));
         let first = by_rank(&sched)[0];
-        let barrier = Arc::new(SimBarrier::new(2));
+        // `SimBarrier` is `!Sync`: these OS threads share it through a
+        // test-local mutex.
+        let barrier = Arc::new(Mutex::new(SimBarrier::new(2)));
         // The non-releaser is held between its barrier arrival and
         // `wait_turn` until the releaser has re-picked, so a pick that
         // goes to it always finds it not yet waiting on its condvar.
@@ -669,7 +671,8 @@ mod tests {
                 s.wait_turn(tid);
                 for _ in 0..ROUNDS {
                     s.park(tid);
-                    if let Some(release) = b.arrive(s.clock(tid)) {
+                    let arrival = b.lock().arrive(s.clock(tid));
+                    if let Some(release) = arrival {
                         s.unpark_all(release);
                         assert_eq!(s.state.lock().current, Some(first));
                         gate_tx.send(()).unwrap();

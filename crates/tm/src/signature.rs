@@ -11,7 +11,7 @@
 //! positives (never false negatives) — the source of the false-conflict
 //! behaviour the paper observes on bayes and labyrinth+.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use crate::addr::LineAddr;
 
@@ -71,15 +71,12 @@ impl SigProbe {
 
 /// A signature register readable by other cores (threads).
 ///
-/// Inserts and tests are wait-free atomic bit operations; `clear` is a
-/// plain store per word (performed only by the owner between
-/// transactions, racing observers may see a partially cleared signature,
-/// which is conservative in the direction of extra aborts only when the
-/// observer also consults the owner's `active` flag first — the engine
-/// does).
+/// The owner inserts and clears it; other threads test it. None of these
+/// makes a scheduler call, so an observer always sees a signature
+/// between operations, never half cleared.
 pub struct Signature {
     bits: u64,
-    words: Box<[AtomicU64]>,
+    words: Box<[Cell<u64>]>,
     /// Mutation hook for `tm::verify` teeth tests: when set, `insert`
     /// sets the *wrong* bits, so membership tests produce false
     /// negatives — exactly the Bloom-filter guarantee a hash bug would
@@ -98,7 +95,7 @@ impl Signature {
     /// [`crate::config::MutationHook::CorruptSignatureHash`]).
     pub fn new_maybe_corrupted(bits: usize, corrupt: bool) -> Self {
         assert!(bits.is_power_of_two() && bits >= 64);
-        let words = (0..bits / 64).map(|_| AtomicU64::new(0)).collect();
+        let words = (0..bits / 64).map(|_| Cell::new(0)).collect();
         Signature {
             bits: bits as u64,
             words,
@@ -119,7 +116,8 @@ impl Signature {
             // sets four wrong bits, so `maybe_contains` (which still
             // probes the correct bits) reports false negatives.
             let h = if self.corrupt { h ^ 1 } else { h };
-            self.words[(h / 64) as usize].fetch_or(1 << (h % 64), Ordering::AcqRel);
+            let w = &self.words[(h / 64) as usize];
+            w.set(w.get() | 1 << (h % 64));
         }
     }
 
@@ -138,28 +136,25 @@ impl Signature {
         probe
             .positions
             .iter()
-            .all(|h| self.words[(h / 64) as usize].load(Ordering::Acquire) >> (h % 64) & 1 == 1)
+            .all(|h| self.words[(h / 64) as usize].get() >> (h % 64) & 1 == 1)
     }
 
     /// Clear all bits.
     pub fn clear(&self) {
         for w in self.words.iter() {
-            w.store(0, Ordering::Release);
+            w.set(0);
         }
     }
 
     /// Whether the signature is empty.
     pub fn is_empty(&self) -> bool {
-        self.words.iter().all(|w| w.load(Ordering::Acquire) == 0)
+        self.words.iter().all(|w| w.get() == 0)
     }
 
     /// Number of set bits (diagnostic; occupancy drives the false
     /// positive rate).
     pub fn popcount(&self) -> u64 {
-        self.words
-            .iter()
-            .map(|w| w.load(Ordering::Acquire).count_ones() as u64)
-            .sum()
+        self.words.iter().map(|w| w.get().count_ones() as u64).sum()
     }
 }
 

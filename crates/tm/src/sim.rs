@@ -15,8 +15,21 @@
 //! ([`SimBarrier`]) counts arrivals while the scheduler keeps arrived
 //! threads parked outside its runnable set, and re-synchronizes their
 //! clocks on release, like a hardware barrier would.
+//!
+//! Threads of a run interleave only inside scheduler calls (clock
+//! publishes, barriers, the turn gate; see [`crate::runtime`]), so these
+//! primitives are plain `Cell`s: between two scheduler calls the running
+//! thread is the only one touching them. They are `!Sync`, and sharing
+//! one with another OS thread does not compile:
+//!
+//! ```compile_fail,E0277
+//! let barrier = tm::SimBarrier::new(2);
+//! std::thread::scope(|s| {
+//!     s.spawn(|| barrier.arrive(0));
+//! });
+//! ```
 
-use parking_lot::Mutex;
+use std::cell::Cell;
 
 /// Cycles a thread accumulates locally before publishing to the scheduler.
 /// This bounds scheduler overhead; the effective quantum is
@@ -29,7 +42,7 @@ pub(crate) const FLUSH_CYCLES: u64 = 64;
 /// [`SimMutex::acquire_until`] with a closure that charges simulated
 /// cycles per failed attempt, which hands the turn to the holder.
 pub struct SimMutex {
-    locked: std::sync::atomic::AtomicBool,
+    locked: Cell<bool>,
 }
 
 impl Default for SimMutex {
@@ -42,14 +55,14 @@ impl SimMutex {
     /// Create an unlocked mutex.
     pub const fn new() -> Self {
         SimMutex {
-            locked: std::sync::atomic::AtomicBool::new(false),
+            locked: Cell::new(false),
         }
     }
 
     /// Try to acquire without spinning. Returns true on success.
     #[inline]
     pub fn try_acquire(&self) -> bool {
-        !self.locked.swap(true, std::sync::atomic::Ordering::Acquire)
+        !self.locked.replace(true)
     }
 
     /// Acquire, calling `spin_tick` once per failed attempt; the closure
@@ -76,15 +89,14 @@ impl SimMutex {
     /// Debug-asserts that the mutex was held.
     #[inline]
     pub fn release(&self) {
-        debug_assert!(self.locked.load(std::sync::atomic::Ordering::Relaxed));
-        self.locked
-            .store(false, std::sync::atomic::Ordering::Release);
+        debug_assert!(self.locked.get());
+        self.locked.set(false);
     }
 
     /// Whether the mutex is currently held by someone.
     #[inline]
     pub fn is_locked(&self) -> bool {
-        self.locked.load(std::sync::atomic::Ordering::Acquire)
+        self.locked.get()
     }
 }
 
@@ -92,11 +104,6 @@ impl std::fmt::Debug for SimMutex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "SimMutex(locked={})", self.is_locked())
     }
-}
-
-struct BarrierState {
-    arrived: usize,
-    max_clock: u64,
 }
 
 /// A phase barrier for logical threads that re-synchronizes simulated
@@ -109,7 +116,8 @@ struct BarrierState {
 pub struct SimBarrier {
     n: usize,
     cost: u64,
-    state: Mutex<BarrierState>,
+    arrived: Cell<usize>,
+    max_clock: Cell<u64>,
 }
 
 impl SimBarrier {
@@ -119,10 +127,8 @@ impl SimBarrier {
         SimBarrier {
             n,
             cost: 100,
-            state: Mutex::new(BarrierState {
-                arrived: 0,
-                max_clock: 0,
-            }),
+            arrived: Cell::new(0),
+            max_clock: Cell::new(0),
         }
     }
 
@@ -135,16 +141,16 @@ impl SimBarrier {
     /// participants to the scheduler in a single deterministic step
     /// ([`crate::sched::Scheduler::unpark_all`]).
     pub fn arrive(&self, clock: u64) -> Option<u64> {
-        let mut s = self.state.lock();
-        s.max_clock = s.max_clock.max(clock);
-        s.arrived += 1;
-        if s.arrived < self.n {
+        let max_clock = self.max_clock.get().max(clock);
+        let arrived = self.arrived.get() + 1;
+        if arrived < self.n {
+            self.max_clock.set(max_clock);
+            self.arrived.set(arrived);
             return None;
         }
-        let release = s.max_clock + self.cost;
-        s.arrived = 0;
-        s.max_clock = 0;
-        Some(release)
+        self.max_clock.set(0);
+        self.arrived.set(0);
+        Some(max_clock + self.cost)
     }
 
     /// Number of participating threads.

@@ -12,7 +12,7 @@
 //! The STMs provide opacity (TL2 validation) so transaction bodies never
 //! observe inconsistent state. The lazy HTM and lazy hybrid doom
 //! conflicting transactions *before and after* applying a commit's writes
-//! (atomically per line, under the directory shard lock or the
+//! (per line in one uninterrupted step of the committer, or by the
 //! doom–apply–doom signature scan), so a transaction that could observe
 //! mixed state is always already doomed; every barrier checks the doom
 //! flag, and bounds checks that fail inside a doomed transaction convert
@@ -191,7 +191,6 @@ impl ThreadCtx {
     }
 
     fn begin_attempt(&mut self, retries: u32) {
-        use std::sync::atomic::Ordering;
         // Eager-HTM livelock guard, second half: while another thread
         // holds the priority token, starting an attempt is futile (the
         // holder dooms us on first contact) and actively harmful under
@@ -203,7 +202,7 @@ impl ThreadCtx {
         // stays locked, so the cycle must be broken by rule.
         if self.global.config.system == SystemKind::EagerHtm && !self.has_priority {
             while {
-                let p = self.global.priority.load(Ordering::SeqCst);
+                let p = self.global.priority.get();
                 p != NO_PRIORITY && p != self.tid
             } {
                 self.spin_charge(20);
@@ -214,33 +213,27 @@ impl ThreadCtx {
         self.txn.reset();
         self.verify_begin_attempt();
         self.prof_begin_attempt();
-        self.global.doomed[self.tid].store(false, Ordering::SeqCst);
-        self.global.active[self.tid].store(true, Ordering::SeqCst);
+        self.global.doomed[self.tid].set(false);
+        self.global.active[self.tid].set(true);
         // Irrevocability gate: while a watchdog-escalated transaction
         // holds it, stand down (clearing `active` so the holder's
-        // quiesce completes) and wait for it to commit. The store-then-
-        // load order against the holder's CAS-then-scan (both SeqCst)
-        // guarantees at least one side sees the other, so no attempt
-        // ever runs concurrently with an irrevocable one. When the gate
-        // is free — every run without fault injection — this is a
-        // single uncharged load.
-        loop {
-            if self.global.irrevocable.load(Ordering::SeqCst) == NO_PRIORITY {
-                break;
-            }
-            self.global.active[self.tid].store(false, Ordering::SeqCst);
-            while self.global.irrevocable.load(Ordering::SeqCst) != NO_PRIORITY {
+        // quiesce completes) and wait for it to commit. Nothing runs
+        // between the last check and setting `active` again, so no
+        // attempt ever runs concurrently with an irrevocable one. When
+        // the gate is free — every run without fault injection — this
+        // is a single uncharged load.
+        if self.global.irrevocable.get() != NO_PRIORITY {
+            self.global.active[self.tid].set(false);
+            while self.global.irrevocable.get() != NO_PRIORITY {
                 self.spin_charge(20);
             }
-            self.global.active[self.tid].store(true, Ordering::SeqCst);
+            self.global.active[self.tid].set(true);
         }
         self.cm_admission(retries);
         self.txn.rv = self.global.clock.read();
-        {
-            use std::sync::atomic::Ordering;
-            let ts = self.global.ts_counter.fetch_add(1, Ordering::AcqRel);
-            self.global.txn_ts[self.tid].store(ts, Ordering::SeqCst);
-        }
+        let ts = self.global.ts_counter.get();
+        self.global.ts_counter.set(ts + 1);
+        self.global.txn_ts[self.tid].set(ts);
         if self.global.config.system == SystemKind::GlobalLock {
             // Coarse-grain lock: serialize the whole transaction.
             while !self.global.commit_token.try_acquire() {
@@ -310,14 +303,12 @@ impl ThreadCtx {
     }
 
     fn finish_commit(&mut self, start_clock: u64, retries: u32) {
-        use std::sync::atomic::Ordering;
         self.verify_commit_attempt();
-        self.global.active[self.tid].store(false, Ordering::SeqCst);
+        self.global.active[self.tid].set(false);
         if self.has_priority {
-            self.global
-                .priority
-                .compare_exchange(self.tid, NO_PRIORITY, Ordering::AcqRel, Ordering::Relaxed)
-                .ok();
+            if self.global.priority.get() == self.tid {
+                self.global.priority.set(NO_PRIORITY);
+            }
             self.has_priority = false;
         }
         {
@@ -356,7 +347,6 @@ impl ThreadCtx {
     }
 
     fn after_abort(&mut self, retries: u32, spurious: bool) {
-        use std::sync::atomic::Ordering;
         // The fixed abort cost belongs to the attempt that just died,
         // not to (committed-attempt) overhead.
         let fixed = self.global.config.cost.abort_fixed;
@@ -393,12 +383,8 @@ impl ThreadCtx {
         {
             // The paper's livelock guard: after 32 aborts a transaction is
             // promoted so no other transaction can abort it.
-            if self
-                .global
-                .priority
-                .compare_exchange(NO_PRIORITY, self.tid, Ordering::AcqRel, Ordering::Relaxed)
-                .is_ok()
-            {
+            if self.global.priority.get() == NO_PRIORITY {
+                self.global.priority.set(self.tid);
                 self.has_priority = true;
             }
         }
@@ -425,7 +411,6 @@ impl ThreadCtx {
         start_clock: u64,
         mut retries: u32,
     ) -> R {
-        use std::sync::atomic::Ordering;
         if crate::trace::enabled(TraceLevel::Faults) {
             crate::trace::emit(
                 TraceLevel::Faults,
@@ -438,31 +423,25 @@ impl ThreadCtx {
         }
         // 1. The irrevocability gate (one escalated transaction at a
         // time; losers wait their turn here).
-        while self
-            .global
-            .irrevocable
-            .compare_exchange(NO_PRIORITY, self.tid, Ordering::SeqCst, Ordering::SeqCst)
-            .is_err()
-        {
+        while self.global.irrevocable.get() != NO_PRIORITY {
             self.spin_charge(20);
         }
+        self.global.irrevocable.set(self.tid);
         struct IrrevGuard {
-            global: std::sync::Arc<crate::runtime::Global>,
+            global: std::rc::Rc<crate::runtime::Global>,
             tid: usize,
             token_held: bool,
         }
         impl Drop for IrrevGuard {
             fn drop(&mut self) {
-                use std::sync::atomic::Ordering;
                 // Token before gate: a thread released by the gate must
                 // find the token in a consistent state.
                 if self.token_held {
                     self.global.commit_token.release();
                 }
-                self.global
-                    .irrevocable
-                    .compare_exchange(self.tid, NO_PRIORITY, Ordering::SeqCst, Ordering::SeqCst)
-                    .ok();
+                if self.global.irrevocable.get() == self.tid {
+                    self.global.irrevocable.set(NO_PRIORITY);
+                }
             }
         }
         let mut guard = IrrevGuard {
@@ -474,7 +453,7 @@ impl ThreadCtx {
         // to resolve. New attempts park at the gate, so once `active`
         // drains, this thread is the only one touching shared data.
         let n = self.global.config.threads;
-        while (0..n).any(|t| t != self.tid && self.global.active[t].load(Ordering::SeqCst)) {
+        while (0..n).any(|t| t != self.tid && self.global.active[t].get()) {
             self.spin_charge(20);
         }
         // 3. The commit token, for the whole irrevocable execution:
@@ -495,7 +474,7 @@ impl ThreadCtx {
             self.txn.reset();
             self.verify_begin_attempt();
             self.prof_begin_attempt();
-            self.global.doomed[self.tid].store(false, Ordering::SeqCst);
+            self.global.doomed[self.tid].set(false);
             let fixed = self
                 .global
                 .config
@@ -604,7 +583,7 @@ impl Txn<'_> {
     /// Whether this transaction has been doomed by a committer (lazy
     /// systems) or a priority transaction (eager HTM).
     pub fn is_doomed(&self) -> bool {
-        self.ctx.global.doomed[self.ctx.tid].load(std::sync::atomic::Ordering::Acquire)
+        self.ctx.global.doomed[self.ctx.tid].get()
     }
 
     /// Costed but *unbarriered* read, for data the program guarantees is
@@ -1028,12 +1007,10 @@ impl Txn<'_> {
 
     /// Profiler helper: doom thread `v` and record the conflict edge on
     /// the first (false → true) doom transition, so each victim abort
-    /// is attributed exactly once. `swap` is semantically identical to
-    /// the plain `store(true)` the engine used before profiling.
+    /// is attributed exactly once.
     #[inline]
     fn doom_and_record(&self, line: u64, v: usize) {
-        use std::sync::atomic::Ordering;
-        if !self.ctx.global.doomed[v].swap(true, Ordering::SeqCst) {
+        if !self.ctx.global.doomed[v].replace(true) {
             self.ctx.prof_conflict(line, Some(self.ctx.tid), v);
         }
     }
@@ -1162,7 +1139,6 @@ impl Txn<'_> {
     /// doomed and the requester waits (in simulated time) for them to
     /// vacate the line.
     fn resolve_eager(&mut self, line: LineAddr, victims: u32) -> TxResult<()> {
-        use std::sync::atomic::Ordering;
         if crate::trace::enabled(TraceLevel::Conflicts) {
             crate::trace::emit(
                 TraceLevel::Conflicts,
@@ -1191,12 +1167,12 @@ impl Txn<'_> {
             // LogTM-style deadlock avoidance: only the *older*
             // transaction may stall; a younger requester aborts so the
             // wait-for graph stays acyclic.
-            let my_ts = self.ctx.global.txn_ts[self.ctx.tid].load(Ordering::SeqCst);
+            let my_ts = self.ctx.global.txn_ts[self.ctx.tid].get();
             let mut mask = victims;
             while mask != 0 {
                 let v = mask.trailing_zeros() as usize;
                 mask &= mask - 1;
-                if self.ctx.global.txn_ts[v].load(Ordering::SeqCst) < my_ts {
+                if self.ctx.global.txn_ts[v].get() < my_ts {
                     self.ctx.prof_conflict(line.0, Some(v), self.ctx.tid);
                     return Err(Abort(()));
                 }
@@ -1254,11 +1230,10 @@ impl Txn<'_> {
     /// Conflict check against other transactions' overflow Bloom filters
     /// (eager HTM). False positives abort the requester, as in the paper.
     fn check_overflow_sigs(&mut self, line: LineAddr) -> TxResult<()> {
-        use std::sync::atomic::Ordering;
         let n = self.ctx.global.config.threads;
         let probe = self.sig_probe(line);
         for t in 0..n {
-            if t == self.ctx.tid || !self.ctx.global.active[t].load(Ordering::Acquire) {
+            if t == self.ctx.tid || !self.ctx.global.active[t].get() {
                 continue;
             }
             if self.ctx.global.overflow_sigs[t].hits(&probe) {
@@ -1275,7 +1250,7 @@ impl Txn<'_> {
                 // Priority: doom the filter's owner and wait for it to
                 // finish rolling back.
                 let mut spins = 0u32;
-                while self.ctx.global.active[t].load(Ordering::Acquire)
+                while self.ctx.global.active[t].get()
                     && self.ctx.global.overflow_sigs[t].hits(&probe)
                 {
                     self.doom_and_record(line.0, t);
@@ -1366,7 +1341,6 @@ impl Txn<'_> {
     }
 
     fn hyb_eager_read(&mut self, addr: WordAddr) -> TxResult<u64> {
-        use std::sync::atomic::Ordering;
         let cost = self.ctx.global.config.cost.hybrid_read;
         self.ctx.charge_tm(cost);
         let line = addr.line();
@@ -1378,7 +1352,7 @@ impl Txn<'_> {
             let probe = self.sig_probe(line);
             for t in 0..n {
                 if t != self.ctx.tid
-                    && self.ctx.global.active[t].load(Ordering::Acquire)
+                    && self.ctx.global.active[t].get()
                     && self.ctx.global.write_sigs[t].hits(&probe)
                 {
                     self.ctx.prof_conflict(line.0, Some(t), self.ctx.tid);
@@ -1392,7 +1366,6 @@ impl Txn<'_> {
     }
 
     fn hyb_eager_write(&mut self, addr: WordAddr, value: u64) -> TxResult<()> {
-        use std::sync::atomic::Ordering;
         let cost = self.ctx.global.config.cost.hybrid_write;
         self.ctx.charge_tm(cost);
         let line = addr.line();
@@ -1402,7 +1375,7 @@ impl Txn<'_> {
             let n = self.ctx.global.config.threads;
             let probe = self.sig_probe(line);
             for t in 0..n {
-                if t != self.ctx.tid && self.ctx.global.active[t].load(Ordering::Acquire) {
+                if t != self.ctx.tid && self.ctx.global.active[t].get() {
                     let sig_hit = self.ctx.global.write_sigs[t].hits(&probe)
                         || self.ctx.global.read_sigs[t].hits(&probe);
                     if sig_hit {
@@ -1635,7 +1608,8 @@ impl Txn<'_> {
             return Err(Abort(()));
         }
         // Group buffered writes by line and apply each line atomically
-        // with its victim scan (doom-then-apply under the shard lock).
+        // with its victim scan (doom-then-apply, with no scheduler call
+        // in between).
         let mut entries: Vec<(u64, u64)> = self
             .ctx
             .txn
@@ -1654,9 +1628,7 @@ impl Txn<'_> {
             }
             let slice = &entries[i..j];
             // Split-borrow the context so the commit closure can update
-            // the sanitizer shadow heap while the directory shard lock is
-            // held (shard lock → verify mutex is the sanctioned order;
-            // the verify helpers never take shard locks).
+            // the sanitizer shadow heap.
             let victims = {
                 let ThreadCtx {
                     global, vtx, tid, ..
@@ -1715,10 +1687,9 @@ impl Txn<'_> {
     /// Doom every active transaction whose signature intersects this
     /// commit's write lines, given with their probes.
     fn scan_and_doom(&self, lines: &[(u64, SigProbe)]) {
-        use std::sync::atomic::Ordering;
         let n = self.ctx.global.config.threads;
         for t in 0..n {
-            if t == self.ctx.tid || !self.ctx.global.active[t].load(Ordering::Acquire) {
+            if t == self.ctx.tid || !self.ctx.global.active[t].get() {
                 continue;
             }
             for (l, probe) in lines {
@@ -1733,7 +1704,6 @@ impl Txn<'_> {
     }
 
     fn commit_lazy_hybrid(&mut self) -> TxResult<()> {
-        use std::sync::atomic::Ordering;
         self.check_doomed()?;
         let cost = self.ctx.global.config.cost;
         // A CM-serialized attempt already holds the commit token: the
@@ -1742,7 +1712,7 @@ impl Txn<'_> {
         let cm_held = self.ctx.txn.cm_token;
         if self.ctx.txn.write_map.is_empty() && !cm_held {
             self.read_only_fence()?;
-            self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
+            self.ctx.global.active[self.ctx.tid].set(false);
             self.ctx.global.read_sigs[self.ctx.tid].clear();
             self.ctx.global.write_sigs[self.ctx.tid].clear();
             self.ctx
@@ -1781,7 +1751,7 @@ impl Txn<'_> {
         self.scan_and_doom(&lines);
         // Mark inactive and clear signatures *before* releasing the
         // token: committed lines no longer conflict with anyone.
-        self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
+        self.ctx.global.active[self.ctx.tid].set(false);
         self.ctx.global.read_sigs[self.ctx.tid].clear();
         self.ctx.global.write_sigs[self.ctx.tid].clear();
         if !cm_held {
@@ -1793,13 +1763,12 @@ impl Txn<'_> {
     }
 
     fn commit_eager_hybrid(&mut self) -> TxResult<()> {
-        use std::sync::atomic::Ordering;
         // Conflicts were resolved at encounter time; nothing to validate.
         // Mark inactive first, then clear signatures: observers check the
         // active flag before the signature, and our writes are committed
         // (in place) either way.
         self.ctx.txn.undo.clear();
-        self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
+        self.ctx.global.active[self.ctx.tid].set(false);
         self.ctx.global.read_sigs[self.ctx.tid].clear();
         self.ctx.global.write_sigs[self.ctx.tid].clear();
         let fixed = self
@@ -1823,7 +1792,6 @@ impl Txn<'_> {
     /// Undo all side effects of the current attempt. Called on every
     /// abort path; also used by `try_commit` on failure. Idempotent.
     pub(crate) fn rollback(&mut self) {
-        use std::sync::atomic::Ordering;
         let sys = self.ctx.global.config.system;
         if sys == SystemKind::GlobalLock {
             // Writes were applied in place under the lock; there is no
@@ -1869,7 +1837,7 @@ impl Txn<'_> {
                 }
             }
             SystemKind::LazyHybrid | SystemKind::EagerHybrid => {
-                self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
+                self.ctx.global.active[self.ctx.tid].set(false);
                 self.ctx.global.read_sigs[self.ctx.tid].clear();
                 self.ctx.global.write_sigs[self.ctx.tid].clear();
             }
@@ -1883,7 +1851,7 @@ impl Txn<'_> {
             self.ctx.global.commit_token.release();
             self.ctx.txn.cm_token = false;
         }
-        self.ctx.global.active[self.ctx.tid].store(false, Ordering::SeqCst);
+        self.ctx.global.active[self.ctx.tid].set(false);
     }
 }
 

@@ -60,17 +60,16 @@
 //!   works from one sorted install list, so its edge witnesses and
 //!   violation order are a pure function of the run.
 //!
-//! Deadlock discipline: code holding the verify mutex never touches
-//! the scheduler, lock table, directory, or commit token — it only
-//! reads/writes the heap word under inspection and the shadow heap.
-//! (The converse — taking the verify mutex while holding a directory
-//! shard lock, as the lazy HTM's per-line commit does — is fine.)
+//! Borrow discipline: code holding the sanitizer state's `RefCell`
+//! borrow never touches the scheduler, lock table, directory, or commit
+//! token — it only reads/writes the heap word under inspection and the
+//! shadow heap — so a heap access and its shadow update form one
+//! uninterrupted step (see [`crate::runtime`]).
 
+use std::cell::RefCell;
 use std::collections::hash_map::Entry as MapEntry;
 use std::fmt;
 use std::time::Instant;
-
-use parking_lot::Mutex;
 
 use crate::config::SystemKind;
 use crate::fxhash::{FxHashMap, FxHashSet};
@@ -221,7 +220,7 @@ struct VerifyInner {
 /// phase (it hangs off `Global`).
 #[derive(Debug, Default)]
 pub struct VerifyState {
-    inner: Mutex<VerifyInner>,
+    inner: RefCell<VerifyInner>,
 }
 
 /// Identifies one transaction in a report: which attempt, on which
@@ -485,7 +484,7 @@ impl VerifyInner {
 
 /// Assign the next attempt id and clear the per-attempt log.
 pub(crate) fn begin_attempt(vs: &VerifyState, vtx: &mut VerifyTxn) {
-    let mut inner = vs.inner.lock();
+    let mut inner = vs.inner.borrow_mut();
     inner.next_attempt += 1;
     vtx.attempt = inner.next_attempt;
     drop(inner);
@@ -523,7 +522,7 @@ pub(crate) fn read_record(
     heap: &TmHeap,
     addr: WordAddr,
 ) -> u64 {
-    let (value, pending) = make_pending(&mut vs.inner.lock(), addr, heap);
+    let (value, pending) = make_pending(&mut vs.inner.borrow_mut(), addr, heap);
     confirm_read(vtx, pending);
     value
 }
@@ -532,7 +531,7 @@ pub(crate) fn read_record(
 /// read barrier still re-validates the lock word after the load, and
 /// only a read that survives that recheck reaches the application.
 pub(crate) fn read_pending(vs: &VerifyState, heap: &TmHeap, addr: WordAddr) -> (u64, PendingRead) {
-    make_pending(&mut vs.inner.lock(), addr, heap)
+    make_pending(&mut vs.inner.borrow_mut(), addr, heap)
 }
 
 /// Record a read observation produced by [`read_pending`] once the
@@ -566,7 +565,7 @@ pub(crate) fn write_eager(
     value: u64,
 ) -> u64 {
     note_write_line(vtx, addr);
-    let mut inner = vs.inner.lock();
+    let mut inner = vs.inner.borrow_mut();
     let prev_value = heap.raw_load(addr);
     let (prev, seq) = inner.install(addr.0, prev_value, Writer::attempt(vtx.attempt), value);
     heap.raw_store(addr, value);
@@ -585,7 +584,7 @@ pub(crate) fn write_commit(
     value: u64,
 ) {
     note_write_line(vtx, addr);
-    let mut inner = vs.inner.lock();
+    let mut inner = vs.inner.borrow_mut();
     let prev_value = heap.raw_load(addr);
     let (_, seq) = inner.install(addr.0, prev_value, Writer::attempt(vtx.attempt), value);
     heap.raw_store(addr, value);
@@ -597,7 +596,7 @@ pub(crate) fn write_commit(
 /// `Txn::init_word`): keeps the shadow in sync so later transactional
 /// reads don't see a phantom bypass. Not a graph node.
 pub(crate) fn write_nontxn(vs: &VerifyState, heap: &TmHeap, addr: WordAddr, value: u64) {
-    let mut inner = vs.inner.lock();
+    let mut inner = vs.inner.borrow_mut();
     let prev_value = heap.raw_load(addr);
     inner.install(addr.0, prev_value, Writer::ENV, value);
     heap.raw_store(addr, value);
@@ -667,7 +666,7 @@ pub(crate) fn commit_attempt(vs: &VerifyState, vtx: &mut VerifyTxn, tid: usize) 
     vtx.shadow_undo.clear();
     vtx.line_heads.clear();
     vtx.released_lines.clear();
-    vs.inner.lock().committed.push(committed);
+    vs.inner.borrow_mut().committed.push(committed);
 }
 
 /// Roll back an aborted attempt: restore heap *and* shadow from the
@@ -696,7 +695,7 @@ pub(crate) fn rollback_restore(
             &mut zombies,
         );
     }
-    let mut inner = vs.inner.lock();
+    let mut inner = vs.inner.borrow_mut();
     debug_assert_eq!(undo.len(), vtx.shadow_undo.len());
     for (&(addr, value), &(saddr, sentry)) in undo.iter().rev().zip(vtx.shadow_undo.iter().rev()) {
         debug_assert_eq!(addr, saddr);
@@ -757,7 +756,7 @@ pub fn find_cycle(n: usize, edges: &[(u32, u32)]) -> Option<Vec<u32>> {
 /// transactions, run every check, and produce the report.
 pub(crate) fn finalize(vs: &VerifyState, system: SystemKind) -> VerifyReport {
     let t0 = Instant::now();
-    let mut inner = vs.inner.lock();
+    let mut inner = vs.inner.borrow_mut();
     let committed = std::mem::take(&mut inner.committed);
     let mut violations = std::mem::take(&mut inner.runtime_violations);
     let attempts = inner.next_attempt as usize;
@@ -970,7 +969,7 @@ mod tests {
         // The page now exists and `zero`'s slot is all-zero, which
         // matches the heap value 0: it must still count as untouched.
         assert_eq!(read_record(&vs, &mut vtx, &heap, zero), 0);
-        let entry = *vs.inner.lock().shadow.slot(zero.0);
+        let entry = *vs.inner.borrow_mut().shadow.slot(zero.0);
         assert_ne!(entry.seq, 0);
         assert_eq!(entry.writer, Writer::ENV);
         assert_eq!(entry.value, 0);

@@ -25,7 +25,7 @@
 
 pub mod mesh;
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 use mesh::{circumcenter, min_angle_deg, Mesh, Point};
 use stamp_util::{AppReport, Mt19937, YadaParams};
@@ -139,7 +139,7 @@ pub fn build_initial(heap: &tm::TmHeap, params: &YadaParams) -> (Problem, u64) {
 /// number of circumcenter insertions (the stand-in for the original's
 /// memory bound).
 pub fn refine_on(rt: &TmRuntime, problem: &Problem, max_inserts: u64) -> tm::RunReport {
-    let inserts = AtomicU64::new(0);
+    let inserts = Cell::new(0u64);
     rt.run(|ctx| {
         let p = *problem;
         loop {
@@ -154,7 +154,7 @@ pub fn refine_on(rt: &TmRuntime, problem: &Problem, max_inserts: u64) -> tm::Run
                 continue;
             };
             let t = WordAddr(taddr);
-            let budget_left = inserts.load(Ordering::Relaxed) < max_inserts;
+            let budget_left = inserts.get() < max_inserts;
             let mut inserted = false;
             ctx.atomic(|txn| {
                 inserted = false;
@@ -219,7 +219,7 @@ pub fn refine_on(rt: &TmRuntime, problem: &Problem, max_inserts: u64) -> tm::Run
             if inserted {
                 // Host-level budget knob only (never read inside
                 // transactions, so raciness is harmless).
-                inserts.fetch_add(1, Ordering::Relaxed);
+                inserts.set(inserts.get() + 1);
             }
         }
     })

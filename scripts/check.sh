@@ -44,6 +44,10 @@ echo "==> perfbench observed-2t correctness pass (sanitizer + pinned fingerprint
 python3 perfbench/run.py --workload observed-2t --seconds 1 --trace 0 | tail -n 1 | tee /dev/stderr \
   | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
 
+echo "==> perfbench solo-1t correctness pass (1 thread, pinned fingerprints)"
+python3 perfbench/run.py --workload solo-1t --seconds 1 --trace 0 | tail -n 1 | tee /dev/stderr \
+  | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
+
 echo "==> perfbench contended-16t correctness pass (16 threads, pinned fingerprints)"
 python3 perfbench/run.py --workload contended-16t --seconds 1 --trace 0 | tail -n 1 | tee /dev/stderr \
   | python3 -c 'import json, sys; r = json.load(sys.stdin); sys.exit(not (r["correct"] is True and r["failed"] == 0))'
