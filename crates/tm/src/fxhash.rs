@@ -1,7 +1,7 @@
 //! A minimal FNV/Fx-style hasher for the engine's hot hash maps (write
 //! buffers, line sets, the line directory, and `tm::verify`'s per-attempt
-//! line index, released-line set, bypass dedup set, and the install-run,
-//! edge-dedup and first-seen maps of its finalize pass). Avoids an
+//! first-read map and released-line set, its bypass dedup set, and the
+//! edge set of its finalize pass). Avoids an
 //! external dependency; quality is adequate because keys are simulated
 //! addresses (or transaction node pairs) that are already well
 //! distributed, never input from outside the program.

@@ -3,6 +3,7 @@
 //! back with a clean serializability report at smoke scale, and the
 //! seeded engine mutations must be detected on real applications.
 
+use stamp::tm::verify::reference;
 use stamp::tm::{MutationHook, SystemKind, TmConfig, Violation, DEFAULT_SCHED_SEED};
 use stamp::util::{sim_variants, AppParams};
 
@@ -19,29 +20,89 @@ fn run(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
     }
 }
 
-/// All 20 simulator-sized variants (scaled down) on all six TM systems,
-/// with the sanitizer recording every committed transaction: the
+/// All 20 simulator-sized variants (scaled down) on all six TM systems
+/// at 4 and 16 threads (the paper's largest machine), with the
+/// sanitizer recording every committed transaction: the
 /// direct-serialization graph must be acyclic and every runtime check
 /// (dirty reads, unstable reads, bypassed writes, early release) clean.
 #[test]
 fn all_variants_all_systems_are_serializable() {
-    for v in sim_variants() {
-        for sys in SystemKind::ALL_TM {
-            let cfg = TmConfig::new(sys, 4).verify(true);
-            let rep = run(&v.scaled(64), cfg);
-            let verify = rep.run.verify.as_ref().expect("verify enabled");
-            assert!(
-                verify.is_clean(),
-                "{} under {sys} is not serializable:\n{verify}",
-                v.name
-            );
-            assert!(
-                verify.cost.txns_checked > 0,
-                "{} under {sys}: sanitizer saw no transactions",
-                v.name
-            );
+    for threads in [4, 16] {
+        for v in sim_variants() {
+            for sys in SystemKind::ALL_TM {
+                let cfg = TmConfig::new(sys, threads).verify(true);
+                let rep = run(&v.scaled(64), cfg);
+                let verify = rep.run.verify.as_ref().expect("verify enabled");
+                assert!(
+                    verify.is_clean(),
+                    "{} under {sys} at {threads} threads is not serializable:\n{verify}",
+                    v.name
+                );
+                assert!(
+                    verify.cost.txns_checked > 0,
+                    "{} under {sys} at {threads} threads: sanitizer saw no transactions",
+                    v.name
+                );
+            }
         }
     }
+}
+
+/// Run `params` under `cfg`, with every sanitizer finalize of the run
+/// checked against the reference algorithm on the same committed logs:
+/// same report text (violations, their order, the cycle witness), same
+/// edge and transaction counts. Returns the app's report.
+fn run_against_reference(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
+    let label = format!("{} threads={}", cfg.system, cfg.threads);
+    let (rep, pairs) = reference::compare(|| run(params, cfg));
+    assert!(!pairs.is_empty(), "{label}: no finalize ran");
+    for (new, old) in &pairs {
+        assert_eq!(new.to_string(), old.to_string(), "{label}");
+        assert_eq!(new.cost.edges, old.cost.edges, "{label}");
+        assert_eq!(new.cost.txns_checked, old.cost.txns_checked, "{label}");
+    }
+    rep
+}
+
+/// `finalize` agrees with the previous algorithm on clean runs of four
+/// apps on every TM system at 4 and 16 threads, and on the mutation
+/// runs whose reports carry serialization cycles. Neither mutation
+/// produces a dirty read on these runs; the unit test
+/// `verify::tests::finalize_matches_reference_on_random_histories`
+/// compares dirty-read reports.
+#[test]
+fn finalize_matches_reference_on_app_runs() {
+    for name in ["genome", "vacation-high", "labyrinth", "intruder"] {
+        let v = stamp::util::variant(name).expect("known variant");
+        for threads in [4, 16] {
+            for sys in SystemKind::ALL_TM {
+                let cfg = TmConfig::new(sys, threads).verify(true);
+                run_against_reference(&v.scaled(64), cfg);
+            }
+        }
+    }
+    let v = stamp::util::variant("vacation-high").expect("known variant");
+    let mut cycles = 0;
+    for (sys, hook) in [
+        (SystemKind::LazyStm, MutationHook::SkipTl2Validation),
+        (SystemKind::LazyHybrid, MutationHook::CorruptSignatureHash),
+        (SystemKind::EagerHybrid, MutationHook::CorruptSignatureHash),
+    ] {
+        for sched_seed in [DEFAULT_SCHED_SEED, 1, 2] {
+            let cfg = TmConfig::new(sys, 8)
+                .verify(true)
+                .mutation_hook(hook)
+                .sched_seed(sched_seed);
+            let rep = run_against_reference(&v.scaled(16), cfg);
+            let verify = rep.run.verify.as_ref().expect("verify enabled");
+            cycles += verify
+                .violations
+                .iter()
+                .filter(|x| matches!(x, Violation::SerializationCycle { .. }))
+                .count();
+        }
+    }
+    assert!(cycles > 0, "no mutation run produced a cycle");
 }
 
 /// The non-default contention managers must preserve serializability
