@@ -1,7 +1,7 @@
 //! The ADtree of Moore & Lee ("Cached sufficient statistics for
 //! efficient machine learning with large datasets", JAIR 1998) — the
 //! data structure STAMP's bayes uses for probability estimates
-//! (§III-B1, reference [28] of the paper).
+//! (§III-B1, reference \[28\] of the paper).
 //!
 //! An ADtree caches the counts of every conjunctive query over binary
 //! variables. Two standard sparsity optimizations keep it small:

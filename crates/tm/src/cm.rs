@@ -25,7 +25,7 @@
 //! the paper's default for the configured system, reproducing the
 //! pre-refactor retry schedules bit-for-bit: same RNG draws, same
 //! cycle charges, same eager-HTM priority promotion after
-//! `htm_priority_after` aborts.
+//! `HTM_PRIORITY_AFTER` (32) aborts.
 //!
 //! All waiting a contention manager induces is charged in *simulated*
 //! cycles (backoff via `charge_bucket` so [`crate::prof`] books it to
@@ -532,14 +532,18 @@ impl ContentionManager for AdaptiveSerialize {
     }
 }
 
+/// Number of aborts after which an eager-HTM transaction is promoted
+/// to high priority: the paper's livelock guard.
+const HTM_PRIORITY_AFTER: u32 = 32;
+
 /// Instantiate the per-thread contention manager for a configuration.
 ///
-/// The eager-HTM priority-promotion guard (`htm_priority_after`, the
+/// The eager-HTM priority-promotion guard (`HTM_PRIORITY_AFTER`, the
 /// paper's 32-abort livelock valve) applies under every policy; on
 /// other systems promotion never triggers.
 pub fn make_cm(policy: CmPolicy, config: &TmConfig) -> Box<dyn ContentionManager> {
     let priority_after = if config.system == SystemKind::EagerHtm {
-        config.htm_priority_after
+        HTM_PRIORITY_AFTER
     } else {
         u32::MAX
     };

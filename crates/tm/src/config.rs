@@ -92,22 +92,6 @@ impl SystemKind {
     pub fn implicit_barriers(self) -> bool {
         matches!(self, SystemKind::LazyHtm | SystemKind::EagerHtm)
     }
-
-    /// Whether versioning is eager (undo log, in-place writes).
-    pub fn eager_versioning(self) -> bool {
-        matches!(
-            self,
-            SystemKind::EagerHtm | SystemKind::EagerStm | SystemKind::EagerHybrid
-        )
-    }
-
-    /// Whether the system supports early release (§III-B5). The STMs do
-    /// not need it (the apps simply skip read barriers on privatized
-    /// copies); the HTMs require it; the hybrids support it through
-    /// signatures only approximately, so the apps treat them like STMs.
-    pub fn needs_early_release(self) -> bool {
-        self.implicit_barriers()
-    }
 }
 
 impl std::fmt::Display for SystemKind {
@@ -299,8 +283,7 @@ impl CostModel {
             | SystemKind::EagerHtm => 0,
             SystemKind::LazyStm => self.stm_lazy_write,
             SystemKind::EagerStm => self.stm_eager_write,
-            SystemKind::LazyHybrid => self.hybrid_write,
-            SystemKind::EagerHybrid => self.hybrid_write,
+            SystemKind::LazyHybrid | SystemKind::EagerHybrid => self.hybrid_write,
         }
     }
 }
@@ -332,10 +315,6 @@ pub struct TmConfig {
     pub quantum: u64,
     /// Machine + barrier cost model.
     pub cost: CostModel,
-    /// log2 of the number of STM versioned-lock indices. It sets how
-    /// addresses alias onto locks, not the memory the table uses: the
-    /// table stores only the entries a run writes ([`crate::locks`]).
-    pub lock_table_bits: u32,
     /// STM conflict-detection granularity.
     pub stm_granularity: Granularity,
     /// Modeled private L1 (capacity bound for HTM speculative state).
@@ -349,9 +328,6 @@ pub struct TmConfig {
     /// Contention-manager override; `None` derives the paper's default
     /// policy for the configured system (see [`TmConfig::effective_cm`]).
     pub cm: Option<CmPolicy>,
-    /// Number of aborts after which an eager-HTM transaction is promoted
-    /// to high priority (the paper's livelock guard: 32).
-    pub htm_priority_after: u32,
     /// Eager-HTM conflict resolution (abort vs bounded stall).
     pub htm_conflict: HtmConflictPolicy,
     /// Seed for the per-thread backoff RNGs.
@@ -422,13 +398,11 @@ impl TmConfig {
             threads,
             quantum: 500,
             cost: CostModel::table_v(),
-            lock_table_bits: 20,
             stm_granularity: Granularity::Word,
             l1: CacheGeometry::table_v_l1(),
             cache_sim: false,
             signature_bits: 2048,
             cm: None,
-            htm_priority_after: 32,
             htm_conflict: HtmConflictPolicy::default(),
             seed: 0x5eed_cafe,
             sched: SchedMode::MinClock,

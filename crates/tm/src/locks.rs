@@ -42,6 +42,16 @@ pub enum LockWord {
 }
 
 impl LockWord {
+    /// The owner of a locked word; `None` for an unlocked one, whose
+    /// last writer has already committed.
+    #[inline]
+    pub(crate) fn owner(self) -> Option<usize> {
+        match self {
+            LockWord::Locked { owner } => Some(owner),
+            LockWord::Unlocked { .. } => None,
+        }
+    }
+
     #[inline]
     fn decode(raw: u64) -> LockWord {
         if raw & 1 == 1 {
@@ -61,6 +71,10 @@ impl LockWord {
         }
     }
 }
+
+/// log2 of the number of lock-table indices a run uses. It sets how
+/// addresses alias onto locks, not the memory the table uses.
+pub(crate) const LOCK_TABLE_BITS: u32 = 20;
 
 /// The TL2 global version clock.
 #[derive(Debug, Default)]

@@ -32,7 +32,7 @@ use crate::fault::{FaultState, WatchdogConfig};
 use crate::fiber::Fiber;
 use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::heap::{TCell, TmHeap, TmValue};
-use crate::locks::{GlobalClock, LockTable};
+use crate::locks::{GlobalClock, LockTable, LOCK_TABLE_BITS};
 use crate::prof::{ProfBucket, ProfReport, ProfShared, ProfThread, ProfThreadReport};
 use crate::sched::{SchedCounters, Scheduler};
 use crate::signature::Signature;
@@ -97,7 +97,7 @@ impl Global {
         let new_sig = |_| Signature::new_maybe_corrupted(sig_bits, corrupt_sigs);
         Global {
             clock: GlobalClock::new(),
-            locks: LockTable::new(config.lock_table_bits, config.stm_granularity),
+            locks: LockTable::new(LOCK_TABLE_BITS, config.stm_granularity),
             directory: Directory::new(),
             doomed: (0..n).map(|_| Cell::new(false)).collect(),
             active: (0..n).map(|_| Cell::new(false)).collect(),
@@ -581,12 +581,12 @@ impl ThreadCtx {
         }
     }
 
-    /// The memory-latency cost of accessing `line`, consulting the L1
-    /// model when enabled.
+    /// Charge the memory latency of accessing `line` as application
+    /// work, consulting the L1 model when enabled.
     #[inline]
-    pub(crate) fn mem_cost(&mut self, line: LineAddr) -> u64 {
+    pub(crate) fn charge_mem(&mut self, line: LineAddr) {
         let cost = &self.global.config.cost;
-        match &mut self.cache {
+        let cycles = match &mut self.cache {
             Some(cache) => {
                 if cache.access(line.0) {
                     cost.l1_hit
@@ -595,37 +595,34 @@ impl ThreadCtx {
                 }
             }
             None => cost.l1_hit,
-        }
+        };
+        self.charge_app(cycles);
     }
 
     /// Costed non-transactional load (private or setup data during a
     /// run).
     pub fn load<T: TmValue>(&mut self, cell: &TCell<T>) -> T {
         let addr = cell.addr();
-        let c = self.mem_cost(addr.line());
-        self.charge_app(c);
+        self.charge_mem(addr.line());
         T::from_bits(self.global.heap.raw_load(addr))
     }
 
     /// Costed non-transactional store.
     pub fn store<T: TmValue>(&mut self, cell: &TCell<T>, value: T) {
         let addr = cell.addr();
-        let c = self.mem_cost(addr.line());
-        self.charge_app(c);
+        self.charge_mem(addr.line());
         self.nontxn_store(addr, value.to_bits());
     }
 
     /// Costed non-transactional load of a raw word address.
     pub fn load_word(&mut self, addr: WordAddr) -> u64 {
-        let c = self.mem_cost(addr.line());
-        self.charge_app(c);
+        self.charge_mem(addr.line());
         self.global.heap.raw_load(addr)
     }
 
     /// Costed non-transactional store to a raw word address.
     pub fn store_word(&mut self, addr: WordAddr, value: u64) {
-        let c = self.mem_cost(addr.line());
-        self.charge_app(c);
+        self.charge_mem(addr.line());
         self.nontxn_store(addr, value)
     }
 
