@@ -7,16 +7,31 @@
 //! A run's logical threads are fibers on the OS thread that calls
 //! [`TmRuntime::run`], and only the scheduler's turn holder runs. Threads
 //! of a run interleave only inside scheduler calls: the clock publishes
-//! (`advance`, `flush`, `spin_charge`), [`ThreadCtx::barrier`], and the
-//! turn gate and exit (`wait_turn`, `done`). Between two such calls, a
-//! thread's code runs without interruption, so a read-modify-write of
-//! run state needs no atomic, CAS loop or lock. Run state is therefore
-//! plain `Cell`/`RefCell` behind an `Rc`: the compiler keeps it on the
-//! run's OS thread, and the one rule it cannot check is that no
-//! `RefCell` borrow is held across a scheduler call (the next thread to
-//! run would panic with "already borrowed"). Every conflict, wait and
+//! (`advance`, and the `flush` or `spin_charge` that exhausts the turn's
+//! lease), [`ThreadCtx::barrier`], and the turn gate and exit
+//! (`wait_turn`, `done`). Between two such calls, a thread's code runs
+//! without interruption, so a read-modify-write of run state needs no
+//! atomic, CAS loop or lock. Run state is therefore plain
+//! `Cell`/`RefCell` behind an `Rc`: the compiler keeps it on the run's
+//! OS thread, and the one rule it cannot check is that no `RefCell`
+//! borrow is held across a scheduler call (the next thread to run would
+//! panic with "already borrowed"). Every conflict, wait and
 //! serialisation the simulated machine models is charged in simulated
 //! cycles ([`crate::sim`]), never in host synchronisation.
+//!
+//! # Publishing the clock
+//!
+//! A thread charges cycles to its own clock and reaches a flush point
+//! every `FLUSH_CYCLES` cycles and after each spin probe. When it
+//! gets the turn, the scheduler hands it a lease: the clock up to which
+//! it keeps the turn and, under PCT, the flushes left before the next
+//! change point. A flush inside the lease only adds to an unpublished
+//! total; the flush that leaves it publishes the total in one scheduler
+//! call, as do `barrier` and the thread's exit. The scheduler counts
+//! every batched flush as an advance, and since each would only have
+//! kept the turn, the schedule is that of a publish at every flush.
+//! A flush inside the lease is not a scheduler call, but any flush may
+//! be the one that publishes, so no `RefCell` borrow may span one.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -34,7 +49,7 @@ use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::heap::{TCell, TmHeap, TmValue};
 use crate::locks::{GlobalClock, LockTable, LOCK_TABLE_BITS};
 use crate::prof::{ProfBucket, ProfReport, ProfShared, ProfThread, ProfThreadReport};
-use crate::sched::{SchedCounters, Scheduler};
+use crate::sched::{Lease, SchedCounters, Scheduler};
 use crate::signature::Signature;
 use crate::sim::{SimBarrier, SimMutex, XorShift64, FLUSH_CYCLES};
 use crate::stats::{RunStats, ThreadStats};
@@ -62,6 +77,8 @@ pub(crate) struct Global {
     pub write_sigs: Vec<Signature>,
     /// Per-thread overflow Bloom filters (eager HTM).
     pub overflow_sigs: Vec<Signature>,
+    /// Bit `t` is set while `overflow_sigs[t]` holds a line.
+    pub overflowing: Cell<u32>,
     /// Global commit token: serializes lazy commits and lazy-HTM
     /// overflow mode.
     pub commit_token: SimMutex,
@@ -104,6 +121,7 @@ impl Global {
             read_sigs: (0..n).map(new_sig).collect(),
             write_sigs: (0..n).map(new_sig).collect(),
             overflow_sigs: (0..n).map(new_sig).collect(),
+            overflowing: Cell::new(0),
             commit_token: SimMutex::new(),
             priority: Cell::new(NO_PRIORITY),
             irrevocable: Cell::new(NO_PRIORITY),
@@ -238,8 +256,9 @@ impl TmRuntime {
                     // Deterministic dispatch gate: only the turn holder
                     // may touch shared state, and that includes the
                     // body's very first accesses.
-                    ctx.global.scheduler.wait_turn(tid);
+                    ctx.lease = ctx.global.scheduler.acquire(tid);
                     body(&mut ctx);
+                    ctx.publish();
                     ctx.global.scheduler.done(tid);
                     ctx.stats.total_cycles = ctx.clock;
                     if let Some((accesses, misses)) = ctx.cache_stats() {
@@ -333,10 +352,17 @@ impl std::fmt::Debug for TmRuntime {
 pub struct ThreadCtx {
     pub(crate) tid: usize,
     pub(crate) global: Rc<Global>,
-    /// Total simulated cycles of this thread (published + pending).
+    /// Total simulated cycles of this thread (published + unpublished
+    /// + pending).
     pub(crate) clock: u64,
-    /// Cycles not yet published to the scheduler.
+    /// Cycles charged since the last flush point.
     pub(crate) pending: u64,
+    /// Cycles flushed inside the lease but not yet published.
+    unpublished: u64,
+    /// Flushes since the last publish.
+    flushes: u64,
+    /// What this thread may do before it must call the scheduler.
+    lease: Lease,
     pub(crate) rng: XorShift64,
     pub(crate) cache: Option<CacheModel>,
     pub(crate) stats: ThreadStats,
@@ -397,6 +423,9 @@ impl ThreadCtx {
             global,
             clock: 0,
             pending: 0,
+            unpublished: 0,
+            flushes: 0,
+            lease: Lease::NONE,
             rng: XorShift64::new(seed),
             cache,
             stats: ThreadStats::default(),
@@ -491,11 +520,14 @@ impl ThreadCtx {
         self.advance(cycles);
     }
 
-    /// Charge `cycles` for one failed probe of a spin loop and publish
-    /// immediately. Under strict turn-based dispatch the probed
-    /// condition can only change once another thread runs, so batching
-    /// probe cycles locally (as `charge_tm` does) would just burn host
-    /// time re-probing before the inevitable handoff.
+    /// Charge `cycles` for one failed probe of a spin loop and flush
+    /// at once. Under strict turn-based dispatch the probed condition
+    /// can only change once another thread runs, so batching probe
+    /// cycles up to `FLUSH_CYCLES` (as `charge_tm` does) would only add
+    /// probes before the inevitable handoff. Each probe thus ends in a
+    /// flush point, as many per wait as ever; inside the lease that
+    /// flush costs one comparison, and the probe that exceeds it hands
+    /// the turn over.
     ///
     /// All spin probes are waits on another thread (commit token, CM
     /// serialization queue, GlobalLock, eager-HTM stalls), so the
@@ -570,14 +602,34 @@ impl ThreadCtx {
         }
     }
 
-    /// Publish pending cycles to the scheduler (possibly yielding while
-    /// this thread is ahead of the pack). Must not be called while
-    /// holding a `RefCell` borrow of run state.
+    /// A flush point: move the pending cycles into the unpublished
+    /// total and, once the lease no longer covers it, publish that total
+    /// to the scheduler (possibly yielding while this thread is ahead of
+    /// the pack). Inside the lease nothing is published, and publishing
+    /// would only have confirmed the turn, so the schedule is that of a
+    /// publish at every flush. Must not be called while holding a
+    /// `RefCell` borrow of run state: any flush may be the one that
+    /// publishes.
     pub(crate) fn flush(&mut self) {
         if self.pending > 0 {
-            let pending = self.pending;
+            self.unpublished += self.pending;
             self.pending = 0;
-            self.global.scheduler.advance(self.tid, pending);
+            self.flushes += 1;
+            if !self.lease.covers(self.clock, self.flushes) {
+                self.publish();
+            }
+        }
+    }
+
+    /// Publish every flushed cycle and take the turn's next lease. Runs
+    /// when the lease runs out, and before this thread parks or
+    /// finishes, so that the scheduler has counted every flush.
+    pub(crate) fn publish(&mut self) {
+        if self.flushes > 0 {
+            let sched = &self.global.scheduler;
+            self.lease = sched.publish(self.tid, self.unpublished, self.flushes);
+            self.unpublished = 0;
+            self.flushes = 0;
         }
     }
 
@@ -646,39 +698,14 @@ impl ThreadCtx {
         }
     }
 
-    /// Transactional read with the observation recorded immediately
-    /// (HTM/hybrid barriers: the raw load is the last step).
+    /// Transactional read, with the observation recorded at once (the
+    /// raw load is the last step of every read barrier).
     #[inline]
     pub(crate) fn txn_load(&mut self, addr: WordAddr) -> u64 {
         let ThreadCtx { global, vtx, .. } = self;
         match &global.verify {
             Some(vs) => verify::read_record(vs, vtx, &global.heap, addr),
             None => global.heap.raw_load(addr),
-        }
-    }
-
-    /// Transactional read whose observation must survive a post-load
-    /// recheck (STM barriers re-validate the lock word after loading);
-    /// confirm with [`ThreadCtx::txn_load_confirm`] once it passes.
-    #[inline]
-    pub(crate) fn txn_load_pending(
-        &mut self,
-        addr: WordAddr,
-    ) -> (u64, Option<verify::PendingRead>) {
-        match &self.global.verify {
-            Some(vs) => {
-                let (v, p) = verify::read_pending(vs, &self.global.heap, addr);
-                (v, Some(p))
-            }
-            None => (self.global.heap.raw_load(addr), None),
-        }
-    }
-
-    /// Record a pending read observation after its validation passed.
-    #[inline]
-    pub(crate) fn txn_load_confirm(&mut self, pending: Option<verify::PendingRead>) {
-        if let Some(p) = pending {
-            verify::confirm_read(&mut self.vtx, p);
         }
     }
 
@@ -783,12 +810,13 @@ impl ThreadCtx {
     pub fn barrier(&mut self, barrier: &SimBarrier) {
         assert!(!self.in_txn, "barrier inside a transaction");
         self.flush();
+        self.publish();
         let sched = &self.global.scheduler;
         sched.park(self.tid);
         if let Some(release) = barrier.arrive(self.clock) {
             sched.unpark_all(release);
         }
-        sched.wait_turn(self.tid);
+        self.lease = sched.acquire(self.tid);
         // `unpark_all` raised every parked clock to at least the release
         // clock, so this is never below `self.clock`.
         let release = sched.clock(self.tid);

@@ -46,6 +46,21 @@
 //! itself, and the dispatch decisions are identical. [`SchedCounters`]
 //! records advances, handoffs and wakeups for the [`crate::RunReport`].
 //!
+//! # Cost per handoff
+//!
+//! Only the holder changes dispatch state while it holds the turn, and
+//! only its own clock, so the other threads' clocks are fixed until it
+//! hands the turn on. The pick that chooses a holder therefore also
+//! fixes its retention limit (the least clock of the other runnable
+//! threads plus the quantum), in the same pass under MinClock, and a
+//! retention check is one comparison. The holder's `Lease` carries
+//! that limit and, under PCT, the steps left before the next change
+//! point, so a [`crate::TmRuntime::run`] thread calls the scheduler
+//! only when the lease runs out or it parks or finishes
+//! (`Scheduler::publish` counts each batched step). A fiber that the
+//! driver resumes already holds the turn and does not pick again.
+//! `park`, `unpark_all`, `done` and a PCT change point each pick anew.
+//!
 //! The `bench --bin schedfuzz` harness sweeps seeds in both modes with
 //! the [`crate::verify`] sanitizer recording every transaction, turning
 //! the sanitizer from a spot check into a fuzzing oracle.
@@ -132,7 +147,9 @@ const PRIO_BASE: u64 = u64::MAX / 2;
 /// artifact records them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SchedCounters {
-    /// [`Scheduler::advance`] calls: published progress steps.
+    /// Published progress steps: one per [`Scheduler::advance`] call,
+    /// and on a run one per flush, those batched inside a turn's lease
+    /// included.
     pub advances: u64,
     /// Turn-holder changes; each wakes at most one sleeping thread.
     pub handoffs: u64,
@@ -141,11 +158,44 @@ pub struct SchedCounters {
     pub wakeups: u64,
 }
 
+/// What the turn holder may do without calling the scheduler: while
+/// the clock it would publish stays within `limit` and it has made
+/// fewer than `steps` unpublished flushes, publishing would only
+/// confirm that it keeps the turn. [`crate::runtime::ThreadCtx::flush`]
+/// batches such flushes locally and publishes them together (see
+/// [`Scheduler::publish`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Lease {
+    /// The holder's retention limit: the minimum clock of the other
+    /// runnable threads plus the quantum, or `u64::MAX` when it runs
+    /// alone.
+    pub(crate) limit: u64,
+    /// Under PCT, the count of the flush whose publish reaches the next
+    /// change point; `u64::MAX` under MinClock, which has none.
+    pub(crate) steps: u64,
+}
+
+impl Lease {
+    /// The lease of a thread that does not hold the turn: its first
+    /// flush publishes.
+    pub(crate) const NONE: Lease = Lease { limit: 0, steps: 0 };
+
+    /// Whether a holder whose clock would publish as `clock`, after
+    /// `steps` unpublished flushes, still keeps the turn without asking.
+    #[inline]
+    pub(crate) fn covers(self, clock: u64, steps: u64) -> bool {
+        clock <= self.limit && steps < self.steps
+    }
+}
+
 struct SchedState {
     clocks: Vec<u64>,
     status: Vec<ThreadStatus>,
     /// The unique thread currently allowed to run (turn holder).
     current: Option<usize>,
+    /// The holder's retention limit: the highest published clock at
+    /// which it keeps the turn (see [`Scheduler::pick`]).
+    limit: u64,
     /// PCT priorities (untouched in MinClock mode).
     prio: Vec<u64>,
     /// Published-advance counter driving PCT change points.
@@ -236,6 +286,7 @@ impl Scheduler {
                 clocks: vec![0; threads],
                 status: vec![ThreadStatus::Running; threads],
                 current: None,
+                limit: 0,
                 prio,
                 steps: 0,
                 next_change,
@@ -247,47 +298,80 @@ impl Scheduler {
         }
     }
 
-    /// Compute (and record) the turn holder. Pure in the scheduler
-    /// state: no host-timing input ever reaches this decision.
+    /// The turn holder after a state change: the current holder while
+    /// it is runnable and within its retention limit, else a fresh
+    /// [`Scheduler::choose`]. Pure in the scheduler state: no
+    /// host-timing input ever reaches this decision.
+    ///
+    /// Turn retention: the holder keeps running while its published
+    /// clock is within one quantum of the slowest other runnable thread.
+    /// This bounds skew by exactly the window the seed scheduler
+    /// enforced (so the Table V cost model is undisturbed) and bounds
+    /// the handoff rate. The limit is computed when the holder is
+    /// chosen and stays exact while it holds the turn, because only the
+    /// holder changes dispatch state in the meantime, and only its own
+    /// clock; `retire` refreshes it when a non-holder leaves.
     fn pick(&self, s: &mut SchedState) -> Option<usize> {
-        let n = s.clocks.len();
-        // Turn retention: the holder keeps running while within one
-        // quantum of the slowest runnable thread. This bounds skew by
-        // exactly the window the seed scheduler enforced (so the Table V
-        // cost model is undisturbed) and bounds the handoff rate.
-        if let Some(cur) = s.current {
-            if s.status[cur] == ThreadStatus::Running {
-                let min_other = (0..n)
-                    .filter(|&t| t != cur && s.status[t] == ThreadStatus::Running)
-                    .map(|t| s.clocks[t])
-                    .min();
-                match min_other {
-                    None => return Some(cur),
-                    Some(m) if s.clocks[cur] <= m + self.quantum => return Some(cur),
-                    _ => {}
+        match s.current {
+            Some(cur) if s.status[cur] == ThreadStatus::Running && s.clocks[cur] <= s.limit => {
+                Some(cur)
+            }
+            _ => self.choose(s),
+        }
+    }
+
+    /// Choose (and record) a new turn holder together with its
+    /// retention limit, ignoring the current holder's claim. MinClock
+    /// takes the runnable thread first by `(clock, rank)` and finds the
+    /// runner-up's clock in the same pass; PCT takes the
+    /// highest-priority runnable thread within one quantum of the
+    /// slowest.
+    fn choose(&self, s: &mut SchedState) -> Option<usize> {
+        let running = |t: &usize| s.status[*t] == ThreadStatus::Running;
+        // The runnable thread with the least `(clock, rank)`, and the
+        // least clock among the others.
+        let mut first: Option<usize> = None;
+        let mut second = u64::MAX;
+        for t in (0..s.clocks.len()).filter(running) {
+            match first {
+                Some(f) if (s.clocks[f], self.rank[f]) <= (s.clocks[t], self.rank[t]) => {
+                    second = second.min(s.clocks[t]);
+                }
+                _ => {
+                    if let Some(f) = first {
+                        second = s.clocks[f];
+                    }
+                    first = Some(t);
                 }
             }
         }
-        let next = match self.mode {
-            SchedMode::MinClock => (0..n)
-                .filter(|&t| s.status[t] == ThreadStatus::Running)
-                .min_by_key(|&t| (s.clocks[t], self.rank[t])),
-            SchedMode::Pct { .. } => {
-                let min = (0..n)
-                    .filter(|&t| s.status[t] == ThreadStatus::Running)
-                    .map(|t| s.clocks[t])
-                    .min();
-                min.and_then(|m| {
-                    (0..n)
-                        .filter(|&t| {
-                            s.status[t] == ThreadStatus::Running && s.clocks[t] <= m + self.quantum
-                        })
-                        .max_by_key(|&t| s.prio[t])
-                })
+        let next = match (self.mode, first) {
+            (_, None) => None,
+            (SchedMode::MinClock, Some(f)) => Some(f),
+            (SchedMode::Pct { .. }, Some(f)) => {
+                let window = s.clocks[f].saturating_add(self.quantum);
+                (0..s.clocks.len())
+                    .filter(|t| running(t) && s.clocks[*t] <= window)
+                    .max_by_key(|&t| s.prio[t])
             }
         };
+        // The least clock among the threads other than `next`.
+        let min_other = match (next, first) {
+            (Some(n), Some(f)) if n != f => s.clocks[f],
+            _ => second,
+        };
         s.current = next;
+        s.limit = min_other.saturating_add(self.quantum);
         next
+    }
+
+    /// What the turn holder may do before it must call the scheduler
+    /// again (see [`Lease`]).
+    fn lease(&self, s: &SchedState) -> Lease {
+        Lease {
+            limit: s.limit,
+            steps: s.next_change - s.steps,
+        }
     }
 
     /// Re-run [`Scheduler::pick`] after a state change and, on a condvar
@@ -313,53 +397,77 @@ impl Scheduler {
         next
     }
 
-    /// Wait until `tid` holds the turn; `prev` is the holder before the
-    /// caller's state change. A thread waits only after `pick` chose
-    /// someone else, so the holder never waits. On fibers the waiter
-    /// drops the lock and switches to the driver, which resumes it once
-    /// it holds the turn again; on condvars it sleeps on its own condvar,
-    /// and each handoff wakes only the new holder.
+    /// Wait until `tid` holds the turn and return its lease; `prev` is
+    /// the holder before the caller's state change. A thread waits only
+    /// after `pick` chose someone else, so the holder never waits. On
+    /// fibers the waiter drops the lock and switches to the driver,
+    /// which resumes it only once it holds the turn again, so it need
+    /// not pick again; on condvars it sleeps on its own condvar, each
+    /// handoff wakes only the new holder, and a woken thread re-picks
+    /// because the wakeup may be spurious.
     fn wait_turn_locked<'a>(
         &'a self,
         tid: usize,
         mut s: MutexGuard<'a, SchedState>,
         mut prev: Option<usize>,
-    ) {
+    ) -> Lease {
         while self.hand_off(&mut s, prev) != Some(tid) {
             match &self.wait {
                 Wait::Fiber => {
                     drop(s);
                     fiber::suspend();
                     s = self.state.lock();
+                    s.counters.wakeups += 1;
+                    debug_assert_eq!(s.current, Some(tid), "resumed a fiber without the turn");
+                    return self.lease(&s);
                 }
                 Wait::Condvar(cvs) => cvs[tid].wait(&mut s),
             }
             s.counters.wakeups += 1;
             prev = s.current;
         }
+        self.lease(&s)
     }
 
     /// Block until `tid` holds the turn: the gate a logical thread must
     /// pass before its first shared-state access, and again after every
     /// barrier release.
     pub fn wait_turn(&self, tid: usize) {
+        self.acquire(tid);
+    }
+
+    /// [`Scheduler::wait_turn`], returning the turn's lease.
+    pub(crate) fn acquire(&self, tid: usize) -> Lease {
         let s = self.state.lock();
         let prev = s.current;
-        self.wait_turn_locked(tid, s, prev);
+        self.wait_turn_locked(tid, s, prev)
     }
 
     /// Publish `cycles` of progress for `tid`, then block until `tid`
-    /// holds the turn again (it usually still does, by retention).
+    /// holds the turn again (it usually still does, by retention). A
+    /// run's threads publish through the same path, batching the flushes
+    /// their turn's lease covers; this is its single-step case.
     ///
     /// Must not be called while holding any other lock.
     pub fn advance(&self, tid: usize, cycles: u64) {
+        self.publish(tid, cycles, 1);
+    }
+
+    /// Publish `cycles` of progress for the turn holder `tid`, made over
+    /// `steps` flushes, then block until `tid` holds the turn again and
+    /// return its lease. The scheduler counts every step, as if each
+    /// had been published alone; a holder that batches only inside its
+    /// lease therefore leaves every count and every handoff as they
+    /// would be, because each step but the last would have kept the
+    /// turn without reaching a PCT change point.
+    pub(crate) fn publish(&self, tid: usize, cycles: u64, steps: u64) -> Lease {
         let mut s = self.state.lock();
         debug_assert_eq!(s.status[tid], ThreadStatus::Running);
-        s.counters.advances += 1;
+        s.counters.advances += steps;
         let prev = s.current;
         s.clocks[tid] += cycles;
         if let SchedMode::Pct { avg_gap } = self.mode {
-            s.steps += 1;
+            s.steps += steps;
             if s.steps >= s.next_change {
                 // PCT change point: demote the publishing thread below
                 // every other priority so the schedule pivots here.
@@ -370,7 +478,7 @@ impl Scheduler {
                 s.current = None;
             }
         }
-        self.wait_turn_locked(tid, s, prev);
+        self.wait_turn_locked(tid, s, prev)
     }
 
     /// Mark `tid` as parked (e.g. at a phase barrier): it no longer
@@ -409,7 +517,20 @@ impl Scheduler {
         let mut s = self.state.lock();
         s.status[tid] = status;
         let prev = s.current;
-        self.hand_off(&mut s, prev);
+        match prev {
+            // A non-holder left: the holder keeps the turn, and its limit
+            // can only rise.
+            Some(cur) if cur != tid && s.status[cur] == ThreadStatus::Running => {
+                let min_other = (0..s.clocks.len())
+                    .filter(|&t| t != cur && s.status[t] == ThreadStatus::Running)
+                    .map(|t| s.clocks[t])
+                    .min();
+                s.limit = min_other.map_or(u64::MAX, |m| m.saturating_add(self.quantum));
+            }
+            _ => {
+                self.hand_off(&mut s, prev);
+            }
+        }
     }
 
     /// Scheduler event counts so far.
@@ -438,7 +559,11 @@ impl Scheduler {
             .join(", ")
     }
 
-    /// The published clock of `tid` (excludes unflushed local cycles).
+    /// The published clock of `tid`. For the turn holder of a
+    /// [`crate::TmRuntime::run`] this lags its
+    /// [`crate::ThreadCtx::now`] by the cycles it has charged since its
+    /// last publish; every other thread has published
+    /// all but its unflushed cycles.
     pub fn clock(&self, tid: usize) -> u64 {
         self.state.lock().clocks[tid]
     }
@@ -489,12 +614,13 @@ mod tests {
             for _ in 0..1000 {
                 ctx.work(10);
                 ctx.flush();
-                let sched = &ctx.global.scheduler;
-                let (mine, other) = (sched.clock(ctx.tid), sched.clock(1 - ctx.tid));
-                max_seen.fetch_max(mine.saturating_sub(other), Ordering::Relaxed);
+                // The holder's own published clock lags inside its
+                // lease; the clock it would publish is `now`.
+                let other = ctx.global.scheduler.clock(1 - ctx.tid);
+                max_seen.fetch_max(ctx.now().saturating_sub(other), Ordering::Relaxed);
             }
         });
-        // Turn retention allows at most quantum + one advance of skew
+        // Turn retention allows at most quantum + one flush of skew
         // while both threads are runnable.
         assert!(max_seen.load(Ordering::Relaxed) <= 100 + 10);
         assert_eq!(report.sim_cycles, 10_000);

@@ -31,8 +31,10 @@
 
 use std::cell::Cell;
 
-/// Cycles a thread accumulates locally before publishing to the scheduler.
-/// This bounds scheduler overhead; the effective quantum is
+/// Cycles a thread charges between flush points. A flush publishes to
+/// the scheduler only once the turn's lease runs out
+/// ([`crate::runtime::ThreadCtx::flush`]), but retention is judged at
+/// flush points alone, so the effective quantum is
 /// `quantum + FLUSH_CYCLES`.
 pub(crate) const FLUSH_CYCLES: u64 = 64;
 

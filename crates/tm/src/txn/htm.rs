@@ -175,7 +175,11 @@ fn cache_insert_eager(tx: &mut Txn<'_>, line: LineAddr) {
                 format_args!("line={} set={set} tid={}", line.0, tx.ctx.tid),
             );
         }
-        tx.ctx.global.overflow_sigs[tx.ctx.tid].insert(line);
+        let global = &tx.ctx.global;
+        global.overflow_sigs[tx.ctx.tid].insert(line);
+        global
+            .overflowing
+            .set(global.overflowing.get() | 1 << tx.ctx.tid);
         tx.ctx.txn.overflowed.insert(line.0);
     } else {
         *count += 1;
@@ -281,7 +285,12 @@ fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()>
 
 /// Conflict check against other transactions' overflow Bloom filters
 /// (eager HTM). False positives abort the requester, as in the paper.
+/// Most attempts fit in the L1, so no other filter usually holds a
+/// line, and then there is nothing to hash or scan.
 fn check_overflow_sigs(tx: &mut Txn<'_>, line: LineAddr) -> TxResult<()> {
+    if tx.ctx.global.overflowing.get() & !(1 << tx.ctx.tid) == 0 {
+        return Ok(());
+    }
     let n = tx.ctx.global.config.threads;
     let probe = tx.sig_probe(line);
     for t in 0..n {
@@ -395,10 +404,20 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
 pub(super) fn eager_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     tx.check_doomed()?;
     release_directory_entries(tx);
-    tx.ctx.global.overflow_sigs[tx.ctx.tid].clear();
+    clear_overflow_sig(tx.ctx);
     tx.ctx.txn.undo.clear();
     tx.ctx.charge_txn_fixed();
     Ok(())
+}
+
+/// Empty this thread's overflow filter, if it holds a line.
+fn clear_overflow_sig(ctx: &ThreadCtx) {
+    let bit = 1 << ctx.tid;
+    let overflowing = &ctx.global.overflowing;
+    if overflowing.get() & bit != 0 {
+        ctx.global.overflow_sigs[ctx.tid].clear();
+        overflowing.set(overflowing.get() & !bit);
+    }
 }
 
 fn release_directory_entries(tx: &mut Txn<'_>) {
@@ -415,7 +434,7 @@ fn release_directory_entries(tx: &mut Txn<'_>) {
 pub(super) fn rollback(tx: &mut Txn<'_>) {
     release_directory_entries(tx);
     if tx.ctx.global.config.system == SystemKind::EagerHtm {
-        tx.ctx.global.overflow_sigs[tx.ctx.tid].clear();
+        clear_overflow_sig(tx.ctx);
     }
     if tx.ctx.txn.serialized {
         tx.ctx.global.commit_token.release();

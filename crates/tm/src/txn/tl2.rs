@@ -48,11 +48,12 @@ pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 }
 
 /// TL2's read of a word whose lock `idx` was unlocked at `version`:
-/// abort if that version is newer than the read timestamp, load, then
-/// recheck the lock word and abort if a commit moved it meanwhile. With
-/// the sanitizer on, the observation is recorded only after the recheck
-/// passes: a load that aborts here is never part of the attempt's read
-/// set.
+/// abort if that version is newer than the read timestamp, else load.
+/// TL2 on real hardware rechecks the lock word after the load, because
+/// a concurrent writer may commit between the two. Here threads
+/// interleave only inside scheduler calls, and none lies between the
+/// lock load and the word load, so the lock word cannot have moved and
+/// the load is recorded at once.
 fn read_unlocked(tx: &mut Txn<'_>, addr: WordAddr, idx: u32, version: u64) -> TxResult<u64> {
     let line = addr.line().0;
     if version > tx.ctx.txn.rv {
@@ -60,12 +61,7 @@ fn read_unlocked(tx: &mut Txn<'_>, addr: WordAddr, idx: u32, version: u64) -> Tx
         // and is anonymous.
         return tx.lose(line, None);
     }
-    let (val, pending) = tx.ctx.txn_load_pending(addr);
-    let recheck = tx.ctx.global.locks.load(idx);
-    if recheck != (LockWord::Unlocked { version }) {
-        return tx.lose(line, recheck.owner());
-    }
-    tx.ctx.txn_load_confirm(pending);
+    let val = tx.ctx.txn_load(addr);
     tx.ctx.txn.read_locks.push(idx);
     tx.ctx.prof_note_lock_line(idx, line);
     Ok(val)

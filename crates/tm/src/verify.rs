@@ -202,14 +202,6 @@ fn line_of(addr: u64) -> u64 {
     WordAddr(addr).line().0
 }
 
-/// A read observation made under the sanitizer state's borrow but not
-/// yet confirmed. STM read barriers validate the lock word *after* the
-/// raw load; only reads that actually return to the application are
-/// recorded, so the barrier confirms the pending observation after its
-/// post-load recheck passes.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingRead(ReadObs);
-
 /// Per-thread, per-attempt observation log. Lives in `ThreadCtx`;
 /// reset by [`begin_attempt`], harvested by [`commit_attempt`].
 #[derive(Debug, Default)]
@@ -566,46 +558,36 @@ pub(crate) fn begin_attempt(vs: &VerifyState, vtx: &mut VerifyTxn) {
     vtx.release_violations.clear();
 }
 
-fn make_pending(inner: &mut VerifyInner, addr: WordAddr, heap: &TmHeap) -> (u64, PendingRead) {
+/// Load `addr` and the shadow entry that says which version it holds.
+fn observe(inner: &mut VerifyInner, addr: WordAddr, heap: &TmHeap) -> (u64, ReadObs) {
     let value = heap.raw_load(addr);
     let entry = inner.entry_checked(addr.0, value);
-    (
-        value,
-        PendingRead(ReadObs {
-            addr: addr.0,
-            seq: entry.seq,
-            writer: entry.writer,
-        }),
-    )
+    let obs = ReadObs {
+        addr: addr.0,
+        seq: entry.seq,
+        writer: entry.writer,
+    };
+    (value, obs)
 }
 
-/// Transactional read, observation recorded immediately (HTM/hybrid
-/// barriers, where the raw load is the last step of the read).
+/// Transactional read, its observation recorded at once: the raw load
+/// is the last step of every read barrier.
 pub(crate) fn read_record(
     vs: &VerifyState,
     vtx: &mut VerifyTxn,
     heap: &TmHeap,
     addr: WordAddr,
 ) -> u64 {
-    let (value, pending) = make_pending(&mut vs.inner.borrow_mut(), addr, heap);
-    confirm_read(vtx, pending);
+    let (value, obs) = observe(&mut vs.inner.borrow_mut(), addr, heap);
+    record_read(vtx, obs);
     value
 }
 
-/// Transactional read whose observation is only tentative: the STM
-/// read barrier still re-validates the lock word after the load, and
-/// only a read that survives that recheck reaches the application.
-pub(crate) fn read_pending(vs: &VerifyState, heap: &TmHeap, addr: WordAddr) -> (u64, PendingRead) {
-    make_pending(&mut vs.inner.borrow_mut(), addr, heap)
-}
-
-/// Record a read observation produced by [`read_pending`] once the
-/// barrier's post-load validation has passed. A read-back of the
+/// Add a read observation to the attempt's log. A read-back of the
 /// attempt's own write, or a re-read of the version it first read,
 /// records nothing; a re-read at another version is logged and flagged
 /// as unstable.
-pub(crate) fn confirm_read(vtx: &mut VerifyTxn, pending: PendingRead) {
-    let obs = pending.0;
+fn record_read(vtx: &mut VerifyTxn, obs: ReadObs) {
     // A fresh read re-arms an early-released line.
     if !vtx.released_lines.is_empty() {
         vtx.released_lines.remove(&line_of(obs.addr));
@@ -1596,15 +1578,17 @@ mod tests {
         let vs = VerifyState::default();
         let mut vtx = VerifyTxn::default();
         begin_attempt(&vs, &mut vtx);
-        let (_, s1) = read_pending(&vs, &heap, addr);
+        // `read_record` observes and records in one step; observing
+        // both versions first replays them in the order s1, s2, s1, s2.
+        let (_, s1) = observe(&mut vs.inner.borrow_mut(), addr, &heap);
         write_nontxn(&vs, &heap, addr, 2);
-        let (_, s2) = read_pending(&vs, &heap, addr);
-        for pending in [s1, s2, s1, s2] {
-            confirm_read(&mut vtx, pending);
+        let (_, s2) = observe(&mut vs.inner.borrow_mut(), addr, &heap);
+        for obs in [s1, s2, s1, s2] {
+            record_read(&mut vtx, obs);
         }
         commit_attempt(&vs, &mut vtx, 0);
         let report = finalize_checked(&vs, SystemKind::LazyStm);
-        let (first, second) = (s1.0.seq, s2.0.seq);
+        let (first, second) = (s1.seq, s2.seq);
         assert_eq!(report.violations.len(), 2, "report: {report}");
         for v in &report.violations {
             assert!(

@@ -186,6 +186,57 @@ fn htm_capacity_overflow_remains_correct() {
     }
 }
 
+/// The eager HTM's overflow filter conflicts on lines the directory does
+/// not hold: a reader spills 40 lines into a 64-bit filter, which then
+/// matches almost any line, so a writer to lines the reader never
+/// touched loses until the reader commits and clears its filter. With
+/// a 2048-bit filter the same lines pass, and with an L1 large enough
+/// the filter stays empty and nothing conflicts.
+#[test]
+fn eager_htm_overflow_filter_reports_false_conflicts() {
+    let run = |l1_lines: u64, signature_bits: usize| {
+        let mut cfg = TmConfig::new(SystemKind::EagerHtm, 2)
+            .quantum(10_000)
+            .signature_bits(signature_bits);
+        cfg.l1 = tm::CacheGeometry {
+            size_bytes: 32 * l1_lines,
+            assoc: l1_lines,
+            line_bytes: 32,
+        };
+        let rt = TmRuntime::new(cfg);
+        let read = rt.heap().alloc_words_line_padded(4 * 40);
+        let written = rt.heap().alloc_words_line_padded(4 * 8);
+        let report = rt.run(|ctx| {
+            if ctx.tid() == 0 {
+                ctx.atomic(|txn| {
+                    for i in 0..40 {
+                        txn.read_word(read.offset(4 * i))?;
+                    }
+                    txn.work(20_000);
+                    Ok(())
+                });
+            } else {
+                // Write inside the reader's work window.
+                ctx.work(5_000);
+                ctx.atomic(|txn| {
+                    for i in 0..8 {
+                        txn.write_word(written.offset(4 * i), i + 1)?;
+                    }
+                    Ok(())
+                });
+            }
+        });
+        assert_eq!(rt.heap().raw_load(written.offset(4 * 7)), 8);
+        report.stats.aborts
+    };
+    assert!(
+        run(1, 64) > 0,
+        "a saturated overflow filter never conflicted"
+    );
+    assert_eq!(run(1, 2048), 0, "a sparse overflow filter conflicted");
+    assert_eq!(run(64, 64), 0, "lines that fit in the L1 conflicted");
+}
+
 /// High contention with many threads: the engine must make progress (no
 /// livelock/deadlock) on every system, including the no-backoff HTMs.
 #[test]

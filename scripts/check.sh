@@ -13,6 +13,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test --workspace"
 cargo test -q --workspace
 
+echo "==> perfbench's own tests (a separate workspace)"
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo doc -D warnings"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
