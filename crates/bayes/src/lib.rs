@@ -412,7 +412,7 @@ pub fn learn_tm(input: &Input, p: &BayesParams, cfg: TmConfig) -> (Network, tm::
     let rt = TmRuntime::new(cfg);
     let heap = rt.heap();
     let v = input.vars;
-    let implicit = rt.config().system.implicit_barriers();
+    let implicit = rt.config().system.props().implicit_barriers;
     // The adtree (Moore & Lee) provides the sufficient statistics, as in
     // the original benchmark; it is built once at setup and immutable.
     // The scan backend keeps the raw record array instead.

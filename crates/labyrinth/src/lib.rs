@@ -298,7 +298,7 @@ pub fn route_tm_with(
 }
 
 fn cfg_implicit(rt: &TmRuntime) -> bool {
-    rt.config().system.implicit_barriers()
+    rt.config().system.props().implicit_barriers
 }
 
 /// Validate a routing: every routed pair's marked cells form a connected

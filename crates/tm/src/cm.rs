@@ -36,7 +36,7 @@
 
 use std::cell::Cell;
 
-use crate::config::{SystemKind, TmConfig};
+use crate::config::TmConfig;
 use crate::sim::XorShift64;
 
 /// Cap multiplier for the linearly growing backoff windows: the window
@@ -538,11 +538,12 @@ const HTM_PRIORITY_AFTER: u32 = 32;
 
 /// Instantiate the per-thread contention manager for a configuration.
 ///
-/// The eager-HTM priority-promotion guard (`HTM_PRIORITY_AFTER`, the
-/// paper's 32-abort livelock valve) applies under every policy; on
-/// other systems promotion never triggers.
+/// The priority-promotion guard (`HTM_PRIORITY_AFTER`, the paper's
+/// 32-abort livelock valve) applies under every policy on a system whose
+/// row has a priority token (the eager HTM); elsewhere promotion never
+/// triggers.
 pub fn make_cm(policy: CmPolicy, config: &TmConfig) -> Box<dyn ContentionManager> {
-    let priority_after = if config.system == SystemKind::EagerHtm {
+    let priority_after = if config.system.props().priority_token {
         HTM_PRIORITY_AFTER
     } else {
         u32::MAX
@@ -587,6 +588,7 @@ impl std::fmt::Debug for dyn ContentionManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::SystemKind;
 
     fn ctx_parts() -> (XorShift64, CmShared) {
         (XorShift64::new(42), CmShared::new(4))

@@ -85,13 +85,6 @@ impl SystemKind {
             _ => return None,
         })
     }
-
-    /// Whether barriers are implicit (performed by hardware, costing no
-    /// extra instructions). True for the HTMs: the paper compiles the HTM
-    /// versions with read/write barrier annotations ignored.
-    pub fn implicit_barriers(self) -> bool {
-        matches!(self, SystemKind::LazyHtm | SystemKind::EagerHtm)
-    }
 }
 
 impl std::fmt::Display for SystemKind {
@@ -178,14 +171,10 @@ impl Default for CacheGeometry {
     }
 }
 
-/// Cycle costs of the modeled machine and of each TM system's barriers.
-///
-/// Memory latencies come from Table V of the paper. Barrier overheads are
-/// modeled constants chosen to reproduce the paper's reported ratios: HTM
-/// barriers are free (implicit), STM read barriers are the most expensive
-/// (the paper notes the lazy STM read barrier must search the write
-/// buffer), hybrids sit in between because signatures replace software
-/// read-set bookkeeping.
+/// Cycle costs of the modeled machine (Table V) and of the commit and
+/// abort work every TM system shares. Each system's barrier and fixed
+/// begin/commit costs are part of what the design is, so they live in
+/// its [`crate::txn::SystemProps`] row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CostModel {
     /// L1 hit latency (cycles).
@@ -194,20 +183,6 @@ pub struct CostModel {
     pub l2_hit: u64,
     /// Off-chip memory latency (cycles).
     pub mem: u64,
-    /// Lazy STM read barrier overhead (write-buffer lookup + two lock
-    /// reads + validation).
-    pub stm_lazy_read: u64,
-    /// Eager STM read barrier overhead (lock read + validation; no
-    /// write-buffer search, hence cheaper — §V-B4).
-    pub stm_eager_read: u64,
-    /// Lazy STM write barrier overhead (write-buffer append).
-    pub stm_lazy_write: u64,
-    /// Eager STM write barrier overhead (lock CAS + undo-log append).
-    pub stm_eager_write: u64,
-    /// Hybrid read barrier overhead (signature insert).
-    pub hybrid_read: u64,
-    /// Hybrid write barrier overhead.
-    pub hybrid_write: u64,
     /// Per-write-set-entry commit cost for lazy *software* systems
     /// (lock + copy back).
     pub commit_per_write: u64,
@@ -216,8 +191,6 @@ pub struct CostModel {
     pub htm_commit_per_line: u64,
     /// Per-read-set-entry validation cost at commit (STMs).
     pub commit_per_read: u64,
-    /// Fixed transaction begin/commit overhead.
-    pub txn_fixed: u64,
     /// Per-undo-entry rollback cost on abort for eager systems (the
     /// paper stresses that aborts are expensive with eager versioning).
     pub abort_per_undo: u64,
@@ -232,65 +205,12 @@ impl CostModel {
             l1_hit: 1,
             l2_hit: 12,
             mem: 100,
-            stm_lazy_read: 22,
-            stm_eager_read: 12,
-            stm_lazy_write: 10,
-            stm_eager_write: 24,
-            hybrid_read: 5,
-            hybrid_write: 7,
             commit_per_write: 8,
             htm_commit_per_line: 2,
             commit_per_read: 3,
-            txn_fixed: 30,
             abort_per_undo: 10,
             abort_fixed: 40,
         }
-    }
-
-    /// Read barrier overhead for `system` (excluding the memory access
-    /// itself).
-    pub fn read_barrier(&self, system: SystemKind) -> u64 {
-        match system {
-            SystemKind::Sequential
-            | SystemKind::GlobalLock
-            | SystemKind::LazyHtm
-            | SystemKind::EagerHtm => 0,
-            SystemKind::LazyStm => self.stm_lazy_read,
-            SystemKind::EagerStm => self.stm_eager_read,
-            SystemKind::LazyHybrid | SystemKind::EagerHybrid => self.hybrid_read,
-        }
-    }
-
-    /// Fixed begin+commit overhead for `system`: nearly free in
-    /// hardware, a library call for the software systems.
-    pub fn txn_fixed_for(&self, system: SystemKind) -> u64 {
-        match system {
-            SystemKind::Sequential => 0,
-            SystemKind::GlobalLock => 10, // lock acquire/release
-
-            SystemKind::LazyHtm | SystemKind::EagerHtm => 3,
-            SystemKind::LazyHybrid | SystemKind::EagerHybrid => self.txn_fixed / 2,
-            SystemKind::LazyStm | SystemKind::EagerStm => self.txn_fixed,
-        }
-    }
-
-    /// Write barrier overhead for `system`.
-    pub fn write_barrier(&self, system: SystemKind) -> u64 {
-        match system {
-            SystemKind::Sequential
-            | SystemKind::GlobalLock
-            | SystemKind::LazyHtm
-            | SystemKind::EagerHtm => 0,
-            SystemKind::LazyStm => self.stm_lazy_write,
-            SystemKind::EagerStm => self.stm_eager_write,
-            SystemKind::LazyHybrid | SystemKind::EagerHybrid => self.hybrid_write,
-        }
-    }
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self::table_v()
     }
 }
 
@@ -313,7 +233,7 @@ pub struct TmConfig {
     /// Scheduler quantum in cycles: a thread may run at most this far
     /// ahead of the slowest runnable thread.
     pub quantum: u64,
-    /// Machine + barrier cost model.
+    /// Machine cost model.
     pub cost: CostModel,
     /// STM conflict-detection granularity.
     pub stm_granularity: Granularity,
@@ -527,24 +447,10 @@ impl TmConfig {
     }
 
     /// The effective contention-manager policy: the [`TmConfig::cm`]
-    /// override if set, otherwise the paper's
-    /// policy for the configured system — immediate restart for the
-    /// HTMs (and the two non-transactional baselines), randomized
-    /// linear backoff after 3 aborts for the STMs and hybrids.
+    /// override if set, otherwise the paper's policy for the configured
+    /// system (its row's [`crate::txn::SystemProps::default_cm`]).
     pub fn effective_cm(&self) -> CmPolicy {
-        if let Some(p) = self.cm {
-            return p;
-        }
-        match self.system {
-            SystemKind::Sequential
-            | SystemKind::GlobalLock
-            | SystemKind::LazyHtm
-            | SystemKind::EagerHtm => CmPolicy::Immediate,
-            SystemKind::LazyStm
-            | SystemKind::EagerStm
-            | SystemKind::LazyHybrid
-            | SystemKind::EagerHybrid => CmPolicy::DEFAULT_LINEAR,
-        }
+        self.cm.unwrap_or(self.system.props().default_cm)
     }
 }
 
@@ -578,30 +484,14 @@ mod tests {
     }
 
     #[test]
-    fn htm_barriers_are_free() {
-        let c = CostModel::table_v();
-        assert_eq!(c.read_barrier(SystemKind::LazyHtm), 0);
-        assert_eq!(c.write_barrier(SystemKind::EagerHtm), 0);
-        assert!(c.read_barrier(SystemKind::LazyStm) > c.read_barrier(SystemKind::LazyHybrid));
-        // §V-B4: the lazy STM read barrier is dearer than the eager one.
-        assert!(c.read_barrier(SystemKind::LazyStm) > c.read_barrier(SystemKind::EagerStm));
-    }
-
-    #[test]
     fn effective_cm_is_the_papers_policy_unless_overridden() {
         use SystemKind::*;
-        for (system, policy) in [
-            (Sequential, CmPolicy::Immediate),
-            (GlobalLock, CmPolicy::Immediate),
-            (LazyHtm, CmPolicy::Immediate),
-            (EagerHtm, CmPolicy::Immediate),
-            (LazyStm, CmPolicy::DEFAULT_LINEAR),
-            (EagerStm, CmPolicy::DEFAULT_LINEAR),
-            (LazyHybrid, CmPolicy::DEFAULT_LINEAR),
-            (EagerHybrid, CmPolicy::DEFAULT_LINEAR),
-        ] {
+        for system in [Sequential, GlobalLock]
+            .into_iter()
+            .chain(SystemKind::ALL_TM)
+        {
             let cfg = TmConfig::new(system, 2);
-            assert_eq!(cfg.effective_cm(), policy, "{system}");
+            assert_eq!(cfg.effective_cm(), system.props().default_cm, "{system}");
             // An explicit CM choice wins on every system.
             let cfg = cfg.cm(CmPolicy::DEFAULT_KARMA);
             assert_eq!(cfg.effective_cm(), CmPolicy::DEFAULT_KARMA, "{system}");
@@ -640,13 +530,5 @@ mod tests {
     #[should_panic(expected = "at least one thread")]
     fn zero_threads_rejected() {
         let _ = TmConfig::new(SystemKind::LazyStm, 0);
-    }
-
-    #[test]
-    fn implicit_barrier_systems() {
-        assert!(SystemKind::LazyHtm.implicit_barriers());
-        assert!(SystemKind::EagerHtm.implicit_barriers());
-        assert!(!SystemKind::LazyHybrid.implicit_barriers());
-        assert!(!SystemKind::EagerStm.implicit_barriers());
     }
 }

@@ -39,8 +39,6 @@
 //! decision is ever drawn: runs are byte-identical to an engine built
 //! without this module.
 
-use crate::config::SystemKind;
-
 /// SplitMix64 (Steele et al., "Fast splittable pseudorandom number
 /// generators"): the per-attempt fault stream.
 ///
@@ -271,14 +269,6 @@ impl FaultConfig {
             self.stall_cycles,
         )
     }
-
-    /// Whether `system` is susceptible to signature false positives.
-    pub fn sigfp_applies(system: SystemKind) -> bool {
-        matches!(
-            system,
-            SystemKind::EagerHtm | SystemKind::LazyHybrid | SystemKind::EagerHybrid
-        )
-    }
 }
 
 impl std::fmt::Display for FaultConfig {
@@ -493,15 +483,5 @@ mod tests {
         let wd = WatchdogConfig::parse("aborts=0,cycles=1000").unwrap();
         assert!(!wd.should_escalate(u32::MAX, 999));
         assert!(wd.should_escalate(0, 1000));
-    }
-
-    #[test]
-    fn sigfp_applies_to_signature_systems_only() {
-        assert!(FaultConfig::sigfp_applies(SystemKind::EagerHtm));
-        assert!(FaultConfig::sigfp_applies(SystemKind::LazyHybrid));
-        assert!(FaultConfig::sigfp_applies(SystemKind::EagerHybrid));
-        assert!(!FaultConfig::sigfp_applies(SystemKind::LazyHtm));
-        assert!(!FaultConfig::sigfp_applies(SystemKind::LazyStm));
-        assert!(!FaultConfig::sigfp_applies(SystemKind::EagerStm));
     }
 }

@@ -82,5 +82,5 @@ pub use sched::{SchedCounters, SchedMode, Scheduler, DEFAULT_PCT_GAP, DEFAULT_SC
 pub use sim::{SimBarrier, XorShift64};
 pub use stats::{RunStats, TxnRecord, VerifyCost};
 pub use trace::TraceLevel;
-pub use txn::{Abort, TxResult, Txn};
+pub use txn::{Abort, SystemProps, TxResult, Txn};
 pub use verify::{VerifyReport, Violation};

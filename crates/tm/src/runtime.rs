@@ -400,13 +400,7 @@ impl ThreadCtx {
         let seed = global.config.seed ^ ((tid as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
         let cm = make_cm(global.config.effective_cm(), &global.config);
         let global_prof = global.config.prof;
-        // Faults model spurious *transactional* hardware events; the
-        // non-speculative systems (Sequential, GlobalLock) have no
-        // abort path to deliver them through.
-        let transactional = !matches!(
-            global.config.system,
-            SystemKind::Sequential | SystemKind::GlobalLock
-        );
+        let transactional = global.config.system.props().transactional;
         let fault = transactional
             .then(|| {
                 global
@@ -756,7 +750,7 @@ impl ThreadCtx {
                 &global.heap,
                 &txn.undo,
                 *tid,
-                global.config.system,
+                global.config.system.props().aborts_must_be_opaque,
             ),
             None => {
                 for &(a, v) in txn.undo.iter().rev() {

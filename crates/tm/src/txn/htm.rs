@@ -11,7 +11,7 @@
 
 use super::{Abort, TxResult, Txn};
 use crate::addr::{LineAddr, WordAddr};
-use crate::config::{HtmConflictPolicy, SystemKind};
+use crate::config::HtmConflictPolicy;
 use crate::runtime::{ThreadCtx, NO_PRIORITY};
 use crate::trace::TraceLevel;
 
@@ -29,7 +29,7 @@ use crate::trace::TraceLevel;
 /// simulated cycles) for the holder to commit: a deterministic schedule
 /// that phase-locks stays locked, so the cycle must be broken by rule.
 pub(super) fn await_priority(ctx: &mut ThreadCtx) {
-    if ctx.global.config.system == SystemKind::EagerHtm && !ctx.has_priority {
+    if !ctx.has_priority {
         while {
             let p = ctx.global.priority.get();
             p != NO_PRIORITY && p != ctx.tid
@@ -40,10 +40,10 @@ pub(super) fn await_priority(ctx: &mut ThreadCtx) {
 }
 
 /// The paper's livelock guard: after 32 aborts (the contention manager
-/// requests it) an eager-HTM transaction is promoted so no other
-/// transaction can abort it.
+/// requests it) a transaction on a design with a priority token (the
+/// eager HTM) is promoted so no other transaction can abort it.
 pub(super) fn take_priority(ctx: &mut ThreadCtx) {
-    if ctx.global.config.system == SystemKind::EagerHtm
+    if ctx.global.config.system.props().priority_token
         && !ctx.has_priority
         && ctx.global.priority.get() == NO_PRIORITY
     {
@@ -433,9 +433,7 @@ fn release_directory_entries(tx: &mut Txn<'_>) {
 /// serialized this attempt.
 pub(super) fn rollback(tx: &mut Txn<'_>) {
     release_directory_entries(tx);
-    if tx.ctx.global.config.system == SystemKind::EagerHtm {
-        clear_overflow_sig(tx.ctx);
-    }
+    clear_overflow_sig(tx.ctx);
     if tx.ctx.txn.serialized {
         tx.ctx.global.commit_token.release();
         tx.ctx.txn.serialized = false;

@@ -19,11 +19,13 @@
 //! paths, fault injection, the helpers more than one family uses, and
 //! the two non-transactional baselines (`Sequential`, `GlobalLock`).
 //!
-//! The dispatch rule: a system is named only in the dispatch matches,
-//! one `match` on `config.system` per entry point (begin, read, write,
-//! early release, commit, rollback), and in the calls those matches
-//! make into the system's module. A new design is one module plus one
-//! arm per match.
+//! The dispatch rule: a system is named only here, in its
+//! [`SystemProps`] row and in the dispatch matches, one `match` on
+//! `config.system` per entry point (begin, read, write, early release,
+//! commit, rollback), and in the calls those matches make into the
+//! system's module. Code outside this module reads what a design is
+//! from its row, never which design it is. A new design is one module,
+//! one row, and one arm per match.
 //!
 //! # Consistency model
 //!
@@ -42,15 +44,123 @@ mod sigtm;
 mod tl2;
 
 use crate::addr::{LineAddr, WordAddr};
-use crate::cm::{CmCtx, ContentionManager};
+use crate::cm::{CmCtx, CmPolicy, ContentionManager};
 use crate::config::SystemKind;
-use crate::fault::{FaultConfig, FaultKind};
+use crate::fault::FaultKind;
 use crate::heap::{TArray, TCell, TmValue};
 use crate::prof::ProfBucket;
 use crate::runtime::{LineSet, ThreadCtx, WordMap, NO_PRIORITY};
 use crate::signature::SigProbe;
 use crate::stats::TxnRecord;
 use crate::trace::TraceLevel;
+
+/// What a TM design is, as far as code outside its protocol module
+/// needs to know (§IV of the paper describes each design by these
+/// properties). One row per [`SystemKind`], read through
+/// [`SystemKind::props`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SystemProps {
+    /// Runs speculative attempts that can abort. False for the two
+    /// baselines (`Sequential`, `GlobalLock`), which have no abort path
+    /// for injected faults or the starvation watchdog to act through.
+    pub transactional: bool,
+    /// Barriers are performed by hardware at no instruction cost: the
+    /// paper compiles the HTM versions with barrier annotations ignored.
+    pub implicit_barriers: bool,
+    /// Conflict detection probes Bloom signatures (the hybrids', or the
+    /// eager HTM's overflow filter), so signature false positives
+    /// (`sigfp` faults) can strike.
+    pub signatures: bool,
+    /// Promises opacity through read-time validation: even an aborted
+    /// attempt must never have observed two versions of one word, so
+    /// the sanitizer audits aborted attempts' reads too.
+    pub aborts_must_be_opaque: bool,
+    /// A transaction that keeps aborting is promoted to the priority
+    /// token, so no other transaction can abort it (the paper's
+    /// livelock guard for the eager HTM).
+    pub priority_token: bool,
+    /// The paper's contention-management policy for the design.
+    pub default_cm: CmPolicy,
+    /// Read barrier overhead in cycles, excluding the memory access.
+    pub read_barrier: u64,
+    /// Write barrier overhead in cycles, excluding the memory access.
+    pub write_barrier: u64,
+    /// Fixed overhead charged at begin and again at commit: nearly free
+    /// in hardware, a library call for the software systems.
+    pub txn_fixed: u64,
+}
+
+/// The non-transactional baseline's row; the other rows name only the
+/// fields in which they differ from it.
+const NON_TM: SystemProps = SystemProps {
+    transactional: false,
+    implicit_barriers: false,
+    signatures: false,
+    aborts_must_be_opaque: false,
+    priority_token: false,
+    default_cm: CmPolicy::Immediate,
+    read_barrier: 0,
+    write_barrier: 0,
+    txn_fixed: 0,
+};
+
+impl SystemKind {
+    /// This design's properties and barrier costs. The barrier costs
+    /// are modeled constants chosen to reproduce the paper's ratios:
+    /// STM read barriers are the dearest (the lazy STM's must search
+    /// the write buffer, §V-B4), and the hybrids sit in between because
+    /// signatures replace software read-set bookkeeping.
+    pub const fn props(self) -> SystemProps {
+        match self {
+            SystemKind::Sequential => NON_TM,
+            SystemKind::GlobalLock => SystemProps {
+                txn_fixed: 10, // lock acquire/release
+                ..NON_TM
+            },
+            SystemKind::LazyHtm => SystemProps {
+                transactional: true,
+                implicit_barriers: true,
+                txn_fixed: 3,
+                ..NON_TM
+            },
+            SystemKind::EagerHtm => SystemProps {
+                transactional: true,
+                implicit_barriers: true,
+                signatures: true,
+                priority_token: true,
+                txn_fixed: 3,
+                ..NON_TM
+            },
+            SystemKind::LazyHybrid | SystemKind::EagerHybrid => SystemProps {
+                transactional: true,
+                signatures: true,
+                default_cm: CmPolicy::DEFAULT_LINEAR,
+                read_barrier: 5,
+                write_barrier: 7,
+                txn_fixed: 15,
+                ..NON_TM
+            },
+            SystemKind::LazyStm => SystemProps {
+                transactional: true,
+                aborts_must_be_opaque: true,
+                default_cm: CmPolicy::DEFAULT_LINEAR,
+                read_barrier: 22,
+                write_barrier: 10,
+                txn_fixed: 30,
+                ..NON_TM
+            },
+            SystemKind::EagerStm => SystemProps {
+                transactional: true,
+                aborts_must_be_opaque: true,
+                default_cm: CmPolicy::DEFAULT_LINEAR,
+                read_barrier: 12,
+                write_barrier: 24,
+                txn_fixed: 30,
+                ..NON_TM
+            },
+        }
+    }
+}
 
 /// A transaction abort: unwinds the body back to the retry loop.
 ///
@@ -274,9 +384,7 @@ impl ThreadCtx {
 
     /// Charge the system's fixed begin (or commit) overhead.
     fn charge_txn_fixed(&mut self) {
-        let config = &self.global.config;
-        let fixed = config.cost.txn_fixed_for(config.system);
-        self.charge_tm(fixed);
+        self.charge_tm(self.global.config.system.props().txn_fixed);
     }
 
     /// Call this thread's contention manager with its view of the
@@ -718,7 +826,7 @@ impl Txn<'_> {
         }
         let clock = self.ctx.clock;
         let quantum = self.ctx.global.config.quantum;
-        let system = self.ctx.global.config.system;
+        let signatures = self.ctx.global.config.system.props().signatures;
         let footprint = self.ctx.txn.read_lines.len() + self.ctx.txn.write_lines.len();
         let f = self.ctx.fault.as_mut().expect("checked above");
         let injected = 'probe: {
@@ -736,7 +844,7 @@ impl Txn<'_> {
             if footprint >= f.cfg.capacity_lines && f.stream.roll(f.cfg.capacity_permille) {
                 break 'probe Some(FaultKind::Capacity);
             }
-            if FaultConfig::sigfp_applies(system) && f.stream.roll(f.cfg.sigfp_permille) {
+            if signatures && f.stream.roll(f.cfg.sigfp_permille) {
                 break 'probe Some(FaultKind::SigFalsePositive);
             }
             None
@@ -761,8 +869,7 @@ impl Txn<'_> {
     /// barrier cost. No conflict detection — the gate and quiesce in
     /// `run_irrevocable` guarantee exclusive execution.
     fn irrev_read(&mut self, addr: WordAddr) -> u64 {
-        let config = &self.ctx.global.config;
-        let barrier = config.cost.read_barrier(config.system);
+        let barrier = self.ctx.global.config.system.props().read_barrier;
         self.ctx.charge_tm(barrier);
         self.seq_read(addr)
     }
@@ -770,8 +877,7 @@ impl Txn<'_> {
     /// Irrevocable write barrier: eager in-place store (undo-logged so
     /// an explicit application abort can still roll back).
     fn irrev_write(&mut self, addr: WordAddr, value: u64) {
-        let config = &self.ctx.global.config;
-        let barrier = config.cost.write_barrier(config.system);
+        let barrier = self.ctx.global.config.system.props().write_barrier;
         self.ctx.charge_tm(barrier);
         let line = addr.line();
         self.ctx.txn.write_lines.insert(line.0);
@@ -965,5 +1071,45 @@ impl std::fmt::Debug for Txn<'_> {
             .field("read_barriers", &self.ctx.txn.read_barriers)
             .field("write_barriers", &self.ctx.txn.write_barriers)
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every system's row, field by field.
+    #[test]
+    #[rustfmt::skip]
+    fn each_row_states_its_design() {
+        use SystemKind::*;
+        let (imm, lin) = (CmPolicy::Immediate, CmPolicy::DEFAULT_LINEAR);
+        // (system, transactional, implicit barriers, signatures, opaque
+        // aborts, priority token, default CM, read, write, fixed cost)
+        let rows = [
+            (Sequential,  false, false, false, false, false, imm, 0,  0,  0),
+            (GlobalLock,  false, false, false, false, false, imm, 0,  0,  10),
+            (LazyHtm,     true,  true,  false, false, false, imm, 0,  0,  3),
+            (EagerHtm,    true,  true,  true,  false, true,  imm, 0,  0,  3),
+            (LazyHybrid,  true,  false, true,  false, false, lin, 5,  7,  15),
+            (EagerHybrid, true,  false, true,  false, false, lin, 5,  7,  15),
+            (LazyStm,     true,  false, false, true,  false, lin, 22, 10, 30),
+            (EagerStm,    true,  false, false, true,  false, lin, 12, 24, 30),
+        ];
+        for (system, transactional, implicit_barriers, signatures, aborts_must_be_opaque,
+             priority_token, default_cm, read_barrier, write_barrier, txn_fixed) in rows
+        {
+            let row = SystemProps {
+                transactional, implicit_barriers, signatures, aborts_must_be_opaque,
+                priority_token, default_cm, read_barrier, write_barrier, txn_fixed,
+            };
+            assert_eq!(system.props(), row, "{system}");
+        }
+        // §V-B4: the lazy STM's read barrier (it searches the write
+        // buffer) is dearer than the eager STM's, and signatures make
+        // the hybrids' cheaper still.
+        let read = |s: SystemKind| s.props().read_barrier;
+        assert!(read(LazyStm) > read(EagerStm));
+        assert!(read(EagerStm) > read(LazyHybrid));
     }
 }

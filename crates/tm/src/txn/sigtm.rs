@@ -7,14 +7,17 @@
 //! other threads' signatures at encounter time, the requester losing.
 //! Signatures cannot remove a line, so early release is a no-op here.
 
-use super::{Abort, TxResult, Txn};
+use super::{Abort, SystemProps, TxResult, Txn};
 use crate::addr::{LineAddr, WordAddr};
+use crate::config::SystemKind;
 use crate::signature::SigProbe;
+
+const LAZY: SystemProps = SystemKind::LazyHybrid.props();
+const EAGER: SystemProps = SystemKind::EagerHybrid.props();
 
 pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
     tx.check_doomed()?;
-    let cost = tx.ctx.global.config.cost.hybrid_read;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(LAZY.read_barrier);
     if let Some(&v) = tx.ctx.txn.write_map.get(&addr.0) {
         return Ok(v);
     }
@@ -29,8 +32,7 @@ pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 
 pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResult<()> {
     tx.check_doomed()?;
-    let cost = tx.ctx.global.config.cost.hybrid_write;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(LAZY.write_barrier);
     let line = addr.line();
     if !tx.ctx.txn.write_lines.contains(&line.0) {
         tx.ctx.global.write_sigs[tx.ctx.tid].insert(line);
@@ -41,8 +43,7 @@ pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResu
 }
 
 pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
-    let cost = tx.ctx.global.config.cost.hybrid_read;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(EAGER.read_barrier);
     let line = addr.line();
     if !tx.ctx.txn.read_lines.contains(&line.0) && !tx.ctx.txn.write_lines.contains(&line.0) {
         tx.ctx.global.read_sigs[tx.ctx.tid].insert(line);
@@ -54,8 +55,7 @@ pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 }
 
 pub(super) fn eager_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResult<()> {
-    let cost = tx.ctx.global.config.cost.hybrid_write;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(EAGER.write_barrier);
     let line = addr.line();
     if !tx.ctx.txn.write_lines.contains(&line.0) {
         tx.ctx.global.write_sigs[tx.ctx.tid].insert(line);

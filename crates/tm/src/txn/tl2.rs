@@ -5,15 +5,17 @@
 //! locks its write set at commit; the eager STM locks at encounter time
 //! and writes in place behind an undo log.
 
-use super::{Abort, TxResult, Txn};
+use super::{Abort, SystemProps, TxResult, Txn};
 use crate::addr::WordAddr;
-use crate::config::MutationHook;
+use crate::config::{MutationHook, SystemKind};
 use crate::locks::LockWord;
+
+const LAZY: SystemProps = SystemKind::LazyStm.props();
+const EAGER: SystemProps = SystemKind::EagerStm.props();
 
 /// Lazy read barrier: the redo log first, then a validated load.
 pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
-    let cost = tx.ctx.global.config.cost.stm_lazy_read;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(LAZY.read_barrier);
     if let Some(&v) = tx.ctx.txn.write_map.get(&addr.0) {
         return Ok(v);
     }
@@ -31,8 +33,7 @@ pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 /// Eager read barrier: a word whose lock this transaction holds is read
 /// directly, any other through a validated load.
 pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
-    let cost = tx.ctx.global.config.cost.stm_eager_read;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(EAGER.read_barrier);
     let idx = tx.ctx.global.locks.index_of(addr);
     let val = match tx.ctx.global.locks.load(idx) {
         // We hold the lock covering this word: the value is stable, so
@@ -68,8 +69,7 @@ fn read_unlocked(tx: &mut Txn<'_>, addr: WordAddr, idx: u32, version: u64) -> Tx
 }
 
 pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) {
-    let cost = tx.ctx.global.config.cost.stm_lazy_write;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(LAZY.write_barrier);
     tx.ctx.txn.write_map.insert(addr.0, value);
     tx.ctx.txn.write_lines.insert(addr.line().0);
 }
@@ -77,8 +77,7 @@ pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) {
 /// Eager write barrier: take the word's lock at encounter time (unless
 /// already held), then write in place behind the undo log.
 pub(super) fn eager_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResult<()> {
-    let cost = tx.ctx.global.config.cost.stm_eager_write;
-    tx.ctx.charge_tm(cost);
+    tx.ctx.charge_tm(EAGER.write_barrier);
     let line = addr.line();
     let locks = &tx.ctx.global.locks;
     let idx = locks.index_of(addr);

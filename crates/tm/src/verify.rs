@@ -26,8 +26,9 @@
 //!   write leaked past an abort),
 //! * **zombie / unstable reads** — one attempt observed two different
 //!   versions of the same address. Committed attempts must be stable
-//!   on every system; for the two STMs (which promise opacity via
-//!   read-time validation) even *aborted* attempts are checked,
+//!   on every system; where the system's row sets
+//!   [`aborts_must_be_opaque`](crate::txn::SystemProps::aborts_must_be_opaque)
+//!   (the two STMs) even *aborted* attempts are checked,
 //! * **bypassed writes** — the real heap value diverged from the
 //!   shadow value, i.e. somebody wrote memory without going through a
 //!   `Txn`/`ThreadCtx` barrier while transactions were live,
@@ -745,15 +746,15 @@ pub(crate) fn commit_attempt(vs: &VerifyState, vtx: &mut VerifyTxn, tid: usize) 
 }
 
 /// Roll back an aborted attempt: restore heap *and* shadow from the
-/// two index-aligned undo logs (newest first), then — on the STMs,
-/// which promise opacity — report the zombie's unstable reads.
+/// two index-aligned undo logs (newest first), then — if the system
+/// promises `opaque` aborts — report the zombie's unstable reads.
 pub(crate) fn rollback_restore(
     vs: &VerifyState,
     vtx: &mut VerifyTxn,
     heap: &TmHeap,
     undo: &[(u64, u64)],
     tid: usize,
-    system: SystemKind,
+    opaque: bool,
 ) {
     let mut inner = vs.inner.borrow_mut();
     debug_assert_eq!(undo.len(), vtx.shadow_undo.len());
@@ -762,7 +763,7 @@ pub(crate) fn rollback_restore(
         heap.raw_store(WordAddr(addr), value);
         *inner.shadow.slot(saddr) = sentry;
     }
-    if matches!(system, SystemKind::EagerStm | SystemKind::LazyStm) {
+    if opaque {
         inner
             .runtime_violations
             .extend(unstable_violations(vtx, tid, false));
@@ -1393,7 +1394,7 @@ mod tests {
         let prev = write_eager(&vs, &mut vtx, &heap, addr, 6);
         assert_eq!(prev, 5);
         let undo = [(addr.0, prev)];
-        rollback_restore(&vs, &mut vtx, &heap, &undo, 0, SystemKind::EagerStm);
+        rollback_restore(&vs, &mut vtx, &heap, &undo, 0, true);
         assert_eq!(heap.raw_load(addr), 5);
         // Committed reader after the rollback sees the restored entry,
         // not a phantom bypass.
@@ -1609,7 +1610,7 @@ mod tests {
         read_record(&vs, &mut vtx, &heap, addr);
         write_nontxn(&vs, &heap, addr, 2);
         read_record(&vs, &mut vtx, &heap, addr);
-        rollback_restore(&vs, &mut vtx, &heap, &[], 3, SystemKind::EagerStm);
+        rollback_restore(&vs, &mut vtx, &heap, &[], 3, true);
         let report = finalize_checked(&vs, SystemKind::EagerStm);
         assert_eq!(report.violations.len(), 1, "report: {report}");
         assert!(matches!(
@@ -1664,14 +1665,7 @@ mod tests {
         for _ in 0..3 {
             assert_eq!(read_record(&vs, &mut reader, &heap, addr), 2);
         }
-        rollback_restore(
-            &vs,
-            &mut writer,
-            &heap,
-            &[(addr.0, prev)],
-            0,
-            SystemKind::EagerHtm,
-        );
+        rollback_restore(&vs, &mut writer, &heap, &[(addr.0, prev)], 0, false);
         commit_attempt(&vs, &mut reader, 1);
         let report = finalize_checked(&vs, SystemKind::EagerHtm);
         assert_eq!(report.violations.len(), 1, "report: {report}");
@@ -1769,7 +1763,7 @@ mod tests {
                         *active = false;
                     }
                     8 => {
-                        rollback_restore(&vs, vtx, &heap, undo, tid, system);
+                        rollback_restore(&vs, vtx, &heap, undo, tid, true);
                         undo.clear();
                         *active = false;
                     }

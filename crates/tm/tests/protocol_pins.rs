@@ -13,8 +13,8 @@
 //! move the cycles on purpose.
 
 use tm::{
-    CmPolicy, FaultConfig, Granularity, HtmConflictPolicy, RunReport, SystemKind, TmConfig,
-    TmRuntime, WatchdogConfig,
+    CacheGeometry, CmPolicy, FaultConfig, Granularity, HtmConflictPolicy, RunReport, SystemKind,
+    TmConfig, TmRuntime, WatchdogConfig,
 };
 
 /// One engine path the goldens leave out.
@@ -31,15 +31,20 @@ enum Path {
     Line,
     /// The L1 tag-array cost model.
     CacheSim,
+    /// A two-line L1 and the smallest signature: the eager HTM spills
+    /// into its Bloom filter (whose false positives abort other
+    /// transactions) and the lazy HTM serializes on overflow.
+    SmallL1,
 }
 
-const PATHS: [Path; 6] = [
+const PATHS: [Path; 7] = [
     Path::Watchdog,
     Path::Karma,
     Path::Adaptive,
     Path::Stall,
     Path::Line,
     Path::CacheSim,
+    Path::SmallL1,
 ];
 
 const SYSTEMS: [SystemKind; 8] = [
@@ -78,6 +83,15 @@ fn config(system: SystemKind, path: Path) -> TmConfig {
         Path::Stall => cfg.htm_conflict(HtmConflictPolicy::RequesterStalls),
         Path::Line => cfg.stm_granularity(Granularity::Line),
         Path::CacheSim => cfg.cache_sim(true),
+        Path::SmallL1 => TmConfig {
+            l1: CacheGeometry {
+                size_bytes: 64,
+                assoc: 1,
+                line_bytes: 32,
+            },
+            ..cfg
+        }
+        .signature_bits(64),
     }
 }
 
@@ -138,48 +152,56 @@ const PINS: &[(SystemKind, Path, Pin)] = &[
     (SystemKind::Sequential, Path::Stall, [1245, 160, 0, 0, 0]),
     (SystemKind::Sequential, Path::Line, [1245, 160, 0, 0, 0]),
     (SystemKind::Sequential, Path::CacheSim, [1371, 160, 0, 0, 0]),
+    (SystemKind::Sequential, Path::SmallL1, [1245, 160, 0, 0, 0]),
     (SystemKind::GlobalLock, Path::Watchdog, [5897, 160, 0, 0, 0]),
     (SystemKind::GlobalLock, Path::Karma, [5897, 160, 0, 0, 0]),
     (SystemKind::GlobalLock, Path::Adaptive, [5897, 160, 0, 0, 0]),
     (SystemKind::GlobalLock, Path::Stall, [5897, 160, 0, 0, 0]),
     (SystemKind::GlobalLock, Path::Line, [5897, 160, 0, 0, 0]),
     (SystemKind::GlobalLock, Path::CacheSim, [6483, 160, 0, 0, 0]),
+    (SystemKind::GlobalLock, Path::SmallL1, [5897, 160, 0, 0, 0]),
     (SystemKind::EagerHtm, Path::Watchdog, [6939, 160, 106, 72, 17]),
     (SystemKind::EagerHtm, Path::Karma, [5680, 160, 80, 0, 0]),
     (SystemKind::EagerHtm, Path::Adaptive, [3835, 160, 74, 0, 0]),
     (SystemKind::EagerHtm, Path::Stall, [4561, 160, 128, 0, 0]),
     (SystemKind::EagerHtm, Path::Line, [3753, 160, 90, 0, 0]),
     (SystemKind::EagerHtm, Path::CacheSim, [4254, 160, 131, 0, 0]),
+    (SystemKind::EagerHtm, Path::SmallL1, [3958, 160, 149, 0, 0]),
     (SystemKind::LazyHtm, Path::Watchdog, [5180, 160, 57, 35, 5]),
     (SystemKind::LazyHtm, Path::Karma, [2947, 160, 43, 0, 0]),
     (SystemKind::LazyHtm, Path::Adaptive, [3517, 160, 45, 0, 0]),
     (SystemKind::LazyHtm, Path::Stall, [3188, 160, 46, 0, 0]),
     (SystemKind::LazyHtm, Path::Line, [3188, 160, 46, 0, 0]),
     (SystemKind::LazyHtm, Path::CacheSim, [3607, 160, 49, 0, 0]),
+    (SystemKind::LazyHtm, Path::SmallL1, [5675, 160, 46, 0, 0]),
     (SystemKind::EagerHybrid, Path::Watchdog, [12501, 160, 147, 86, 24]),
     (SystemKind::EagerHybrid, Path::Karma, [7473, 160, 80, 0, 0]),
     (SystemKind::EagerHybrid, Path::Adaptive, [9435, 160, 109, 0, 0]),
     (SystemKind::EagerHybrid, Path::Stall, [9063, 160, 94, 0, 0]),
     (SystemKind::EagerHybrid, Path::Line, [9063, 160, 94, 0, 0]),
     (SystemKind::EagerHybrid, Path::CacheSim, [8894, 160, 81, 0, 0]),
+    (SystemKind::EagerHybrid, Path::SmallL1, [9063, 160, 94, 0, 0]),
     (SystemKind::LazyHybrid, Path::Watchdog, [11470, 160, 137, 96, 16]),
     (SystemKind::LazyHybrid, Path::Karma, [6968, 160, 68, 0, 0]),
     (SystemKind::LazyHybrid, Path::Adaptive, [7706, 160, 69, 0, 0]),
     (SystemKind::LazyHybrid, Path::Stall, [7436, 160, 62, 0, 0]),
     (SystemKind::LazyHybrid, Path::Line, [7436, 160, 62, 0, 0]),
     (SystemKind::LazyHybrid, Path::CacheSim, [7354, 160, 61, 0, 0]),
+    (SystemKind::LazyHybrid, Path::SmallL1, [7436, 160, 62, 0, 0]),
     (SystemKind::EagerStm, Path::Watchdog, [13508, 160, 71, 24, 7]),
     (SystemKind::EagerStm, Path::Karma, [9936, 160, 51, 0, 0]),
     (SystemKind::EagerStm, Path::Adaptive, [9646, 160, 55, 0, 0]),
     (SystemKind::EagerStm, Path::Stall, [10716, 160, 45, 0, 0]),
     (SystemKind::EagerStm, Path::Line, [15966, 160, 135, 0, 0]),
     (SystemKind::EagerStm, Path::CacheSim, [9996, 160, 56, 0, 0]),
+    (SystemKind::EagerStm, Path::SmallL1, [10716, 160, 45, 0, 0]),
     (SystemKind::LazyStm, Path::Watchdog, [14454, 160, 68, 26, 3]),
     (SystemKind::LazyStm, Path::Karma, [11812, 160, 51, 0, 0]),
     (SystemKind::LazyStm, Path::Adaptive, [11034, 160, 48, 0, 0]),
     (SystemKind::LazyStm, Path::Stall, [11401, 160, 46, 0, 0]),
     (SystemKind::LazyStm, Path::Line, [14442, 160, 96, 0, 0]),
     (SystemKind::LazyStm, Path::CacheSim, [10608, 160, 30, 0, 0]),
+    (SystemKind::LazyStm, Path::SmallL1, [11401, 160, 46, 0, 0]),
 ];
 
 #[test]
