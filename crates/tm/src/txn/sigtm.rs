@@ -132,9 +132,12 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
         }
         return Err(Abort(()));
     }
-    let lines: Vec<(u64, SigProbe)> = (tx.ctx.txn.write_lines.iter())
+    // In address order, as the lazy HTM applies its lines: a victim is
+    // blamed on the lowest written line its signatures hold.
+    let mut lines: Vec<(u64, SigProbe)> = (tx.ctx.txn.write_lines.iter())
         .map(|&l| (l, tx.sig_probe(LineAddr(l))))
         .collect();
+    lines.sort_unstable_by_key(|&(l, _)| l);
     // Doom–apply–doom: any reader that slips between the scans still
     // gets doomed by the second scan, so no zombie survives.
     scan_and_doom(tx, &lines);

@@ -208,3 +208,46 @@ fn replay_determinism_of_prof_report() {
         assert_eq!(a.prof, b.prof, "{sys}: prof report did not replay");
     }
 }
+
+/// The lazy hybrid's commit scans its write lines in address order, so
+/// a victim whose signatures hold several of them is blamed on the
+/// lowest. The committer writes eight lines the reader holds, highest
+/// first, so neither write order nor a hash order can pass for it.
+#[test]
+fn lazy_hybrid_blames_the_lowest_written_line() {
+    let cfg = TmConfig::new(SystemKind::LazyHybrid, 2)
+        .quantum(10_000)
+        .prof(true);
+    let rt = TmRuntime::new(cfg);
+    let base = rt.heap().alloc_words_line_padded(4 * 8);
+    let word = |i: u64| base.offset(4 * i);
+    let rep = rt.run(|ctx| {
+        if ctx.tid() == 0 {
+            ctx.atomic(|txn| {
+                for i in 0..8 {
+                    txn.read_word(word(i))?;
+                }
+                txn.work(20_000);
+                Ok(())
+            });
+        } else {
+            // Commit inside the reader's work window.
+            ctx.work(5_000);
+            ctx.atomic(|txn| {
+                for i in (0..8).rev() {
+                    txn.write_word(word(i), i + 1)?;
+                }
+                Ok(())
+            });
+        }
+    });
+    assert_eq!(rep.stats.aborts, 1, "the reader was not doomed once");
+    let prof = rep.prof.as_ref().unwrap();
+    assert_eq!(prof.hot_lines.len(), 1, "{:?}", prof.hot_lines);
+    let hot = &prof.hot_lines[0];
+    assert_eq!(hot.line, word(0).line().0, "blamed on a higher line");
+    assert_eq!(
+        (hot.pairs[0].aborter, hot.pairs[0].victim, hot.events),
+        (Some(1), 0, 1)
+    );
+}
