@@ -181,8 +181,6 @@ pub struct CostModel {
     pub l1_hit: u64,
     /// Shared L2 hit latency (cycles).
     pub l2_hit: u64,
-    /// Off-chip memory latency (cycles).
-    pub mem: u64,
     /// Per-write-set-entry commit cost for lazy *software* systems
     /// (lock + copy back).
     pub commit_per_write: u64,
@@ -204,7 +202,6 @@ impl CostModel {
         CostModel {
             l1_hit: 1,
             l2_hit: 12,
-            mem: 100,
             commit_per_write: 8,
             htm_commit_per_line: 2,
             commit_per_read: 3,

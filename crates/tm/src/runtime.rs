@@ -45,7 +45,6 @@ use crate::config::{SystemKind, TmConfig};
 use crate::directory::Directory;
 use crate::fault::{FaultState, WatchdogConfig};
 use crate::fiber::Fiber;
-use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::heap::{TCell, TmHeap, TmValue};
 use crate::locks::{GlobalClock, LockTable, LOCK_TABLE_BITS};
 use crate::prof::{ProfBucket, ProfReport, ProfShared, ProfThread, ProfThreadReport};
@@ -838,7 +837,3 @@ impl std::fmt::Debug for ThreadCtx {
             .finish()
     }
 }
-
-/// Shorthand aliases used across the engine internals.
-pub(crate) type WordMap = FxHashMap<u64, u64>;
-pub(crate) type LineSet = FxHashSet<u64>;

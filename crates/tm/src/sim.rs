@@ -154,11 +154,6 @@ impl SimBarrier {
         self.arrived.set(0);
         Some(max_clock + self.cost)
     }
-
-    /// Number of participating threads.
-    pub fn parties(&self) -> usize {
-        self.n
-    }
 }
 
 impl std::fmt::Debug for SimBarrier {

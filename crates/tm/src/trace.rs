@@ -100,8 +100,8 @@ pub fn enable(levels: &[TraceLevel]) {
 
 /// Whether `level` is enabled.
 ///
-/// Call sites guard their formatting behind this so tracing costs one
-/// branch when disabled.
+/// The [`trace!`](crate::trace!) macro guards its formatting behind
+/// this, so tracing costs one branch when disabled.
 #[inline]
 pub fn enabled(level: TraceLevel) -> bool {
     MASK.load(Ordering::Relaxed) & level.bit() != 0
@@ -114,11 +114,14 @@ pub fn emit(level: TraceLevel, args: std::fmt::Arguments<'_>) {
     }
 }
 
-/// Convenience wrapper around [`emit`]: `trace!(TraceLevel::Conflicts, "...", ..)`.
+/// Emit one tagged line if its level is enabled, formatting nothing
+/// otherwise: `trace!(TraceLevel::Conflicts, "...", ..)`.
 #[macro_export]
 macro_rules! trace {
     ($level:expr, $($fmt:tt)*) => {
-        $crate::trace::emit($level, format_args!($($fmt)*))
+        if $crate::trace::enabled($level) {
+            $crate::trace::emit($level, format_args!($($fmt)*))
+        }
     };
 }
 

@@ -1,15 +1,20 @@
 //! The paper's two HTMs (§IV), modeled over the line directory
 //! ([`crate::directory`]) with line-granularity conflict detection and
-//! an L1 capacity bound on speculative state. The lazy HTM (TCC-style)
-//! buffers writes and detects conflicts at commit, applying each line
-//! and dooming its readers under the commit token; overflow serializes
-//! the transaction. The eager HTM (LogTM-style) writes in place behind
-//! an undo log and detects conflicts at encounter time: the requester
-//! loses unless it holds the priority token (or stalls, under
+//! an L1 capacity bound on speculative state, kept in the attempt's line
+//! table (`TxnState::lines`): a line's first read or write sets READ or
+//! WRITTEN, registers the line in the directory and claims its L1 slot
+//! (RESIDENT); commit and rollback leave the directory by walking those
+//! lines. The lazy HTM (TCC-style) buffers writes and detects conflicts
+//! at commit, applying each line in address order and dooming its
+//! readers under the commit token; overflow serializes the transaction.
+//! The eager HTM (LogTM-style) writes in place behind an undo log and
+//! detects conflicts at encounter time: the requester loses unless it
+//! holds the priority token (or stalls, under
 //! `HtmConflictPolicy::RequesterStalls`), and overflowed lines move to
-//! a Bloom filter that cannot be early-released.
+//! a Bloom filter (OVERFLOWED) that cannot be early-released. Unlike
+//! the lazy HTM, it does not mark a read of a line it already wrote.
 
-use super::{Abort, TxResult, Txn};
+use super::{Abort, TxResult, Txn, OVERFLOWED, READ, RESIDENT, WRITTEN};
 use crate::addr::{LineAddr, WordAddr};
 use crate::config::HtmConflictPolicy;
 use crate::runtime::{ThreadCtx, NO_PRIORITY};
@@ -72,11 +77,9 @@ pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
         return Ok(v);
     }
     let line = addr.line();
-    if !tx.ctx.txn.read_lines.contains(&line.0) {
+    if let Some(flags) = tx.ctx.txn.mark(line.0, READ, READ) {
         tx.ctx.global.directory.add_reader(line, tx.ctx.tid);
-        tx.ctx.txn.dir_lines.push(line.0);
-        cache_insert_lazy(tx, line)?;
-        tx.ctx.txn.read_lines.insert(line.0);
+        cache_insert_lazy(tx, line, flags)?;
     }
     tx.ctx.charge_mem(line);
     Ok(tx.ctx.txn_load(addr))
@@ -85,11 +88,9 @@ pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResult<()> {
     tx.check_doomed()?;
     let line = addr.line();
-    if !tx.ctx.txn.write_lines.contains(&line.0) {
+    if let Some(flags) = tx.ctx.txn.mark(line.0, WRITTEN, WRITTEN) {
         tx.ctx.global.directory.add_writer(line, tx.ctx.tid);
-        tx.ctx.txn.dir_lines.push(line.0);
-        cache_insert_lazy(tx, line)?;
-        tx.ctx.txn.write_lines.insert(line.0);
+        cache_insert_lazy(tx, line, flags)?;
     }
     tx.ctx.txn.write_map.insert(addr.0, value);
     let c = tx.ctx.global.config.cost.l1_hit;
@@ -100,16 +101,14 @@ pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResu
 pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
     tx.check_doomed()?;
     let line = addr.line();
-    if !tx.ctx.txn.read_lines.contains(&line.0) && !tx.ctx.txn.write_lines.contains(&line.0) {
+    if let Some(flags) = tx.ctx.txn.mark(line.0, READ | WRITTEN, READ) {
         check_overflow_sigs(tx, line)?;
         let occ = tx.ctx.global.directory.add_reader(line, tx.ctx.tid);
-        tx.ctx.txn.dir_lines.push(line.0);
         let conflicts = occ.other_writers(tx.ctx.tid);
         if conflicts != 0 {
             resolve_eager(tx, line, conflicts)?;
         }
-        cache_insert_eager(tx, line);
-        tx.ctx.txn.read_lines.insert(line.0);
+        cache_insert_eager(tx, line, flags);
     }
     tx.ctx.charge_mem(line);
     Ok(tx.ctx.txn_load(addr))
@@ -118,73 +117,60 @@ pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 pub(super) fn eager_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResult<()> {
     tx.check_doomed()?;
     let line = addr.line();
-    if !tx.ctx.txn.write_lines.contains(&line.0) {
+    if let Some(flags) = tx.ctx.txn.mark(line.0, WRITTEN, WRITTEN) {
         check_overflow_sigs(tx, line)?;
         let occ = tx.ctx.global.directory.add_writer(line, tx.ctx.tid);
-        tx.ctx.txn.dir_lines.push(line.0);
         let conflicts = occ.others(tx.ctx.tid);
         if conflicts != 0 {
             resolve_eager(tx, line, conflicts)?;
         }
-        if !tx.ctx.txn.read_lines.contains(&line.0) {
-            cache_insert_eager(tx, line);
-        }
-        tx.ctx.txn.write_lines.insert(line.0);
+        cache_insert_eager(tx, line, flags);
     }
     tx.ctx.txn_store_eager(addr, value);
     tx.ctx.charge_mem(line);
     Ok(())
 }
 
-/// L1 capacity tracking for the lazy HTM: inserting a line that no
-/// longer fits forces serialized execution (hold the commit token for
-/// the rest of the transaction).
-fn cache_insert_lazy(tx: &mut Txn<'_>, line: LineAddr) -> TxResult<()> {
-    if tx.ctx.txn.resident.contains(&line.0) {
-        return Ok(());
-    }
+/// The HTMs' L1 capacity model: give `line` a slot in its set and mark
+/// it RESIDENT, or return false when the set is full.
+fn take_l1_slot(tx: &mut Txn<'_>, line: LineAddr) -> bool {
     let assoc = tx.ctx.global.config.l1.assoc as u8;
     let set = tx.ctx.global.config.l1.set_of(line.0);
     let count = tx.ctx.txn.set_counts.entry(set).or_insert(0);
     if *count >= assoc {
-        if !tx.ctx.txn.serialized {
-            tx.acquire_commit_token()?;
-            tx.ctx.txn.serialized = true;
-        }
-    } else {
-        *count += 1;
-        tx.ctx.txn.resident.insert(line.0);
+        return false;
+    }
+    *count += 1;
+    *tx.ctx.txn.lines.entry(line.0).or_insert(0) |= RESIDENT;
+    true
+}
+
+/// Lazy HTM, given the line's flags before this access: a line that
+/// does not fit in the L1 forces serialized execution (hold the commit
+/// token for the rest of the transaction).
+fn cache_insert_lazy(tx: &mut Txn<'_>, line: LineAddr, flags: u8) -> TxResult<()> {
+    if flags & RESIDENT == 0 && !take_l1_slot(tx, line) && !tx.ctx.txn.serialized {
+        tx.acquire_commit_token()?;
+        tx.ctx.txn.serialized = true;
     }
     Ok(())
 }
 
-/// L1 capacity tracking for the eager HTM: overflowing lines move to
-/// the Bloom signature (conservative: may cause false conflicts for
-/// other transactions, and cannot be early-released).
-fn cache_insert_eager(tx: &mut Txn<'_>, line: LineAddr) {
-    if tx.ctx.txn.resident.contains(&line.0) || tx.ctx.txn.overflowed.contains(&line.0) {
+/// Eager HTM, given the line's flags before this access: a line that
+/// does not fit in the L1 moves to the Bloom signature (conservative:
+/// may cause false conflicts for other transactions, and cannot be
+/// early-released). A line already read is resident or overflowed, so
+/// a write after a read stops at once.
+fn cache_insert_eager(tx: &mut Txn<'_>, line: LineAddr, flags: u8) {
+    if flags & (RESIDENT | OVERFLOWED) != 0 || take_l1_slot(tx, line) {
         return;
     }
-    let assoc = tx.ctx.global.config.l1.assoc as u8;
-    let set = tx.ctx.global.config.l1.set_of(line.0);
-    let count = tx.ctx.txn.set_counts.entry(set).or_insert(0);
-    if *count >= assoc {
-        if crate::trace::enabled(TraceLevel::Overflows) {
-            crate::trace::emit(
-                TraceLevel::Overflows,
-                format_args!("line={} set={set} tid={}", line.0, tx.ctx.tid),
-            );
-        }
-        let global = &tx.ctx.global;
-        global.overflow_sigs[tx.ctx.tid].insert(line);
-        global
-            .overflowing
-            .set(global.overflowing.get() | 1 << tx.ctx.tid);
-        tx.ctx.txn.overflowed.insert(line.0);
-    } else {
-        *count += 1;
-        tx.ctx.txn.resident.insert(line.0);
-    }
+    let (global, tid) = (&tx.ctx.global, tx.ctx.tid);
+    let set = global.config.l1.set_of(line.0);
+    crate::trace!(TraceLevel::Overflows, "line={} set={set} tid={tid}", line.0);
+    global.overflow_sigs[tid].insert(line);
+    global.overflowing.set(global.overflowing.get() | 1 << tid);
+    *tx.ctx.txn.lines.entry(line.0).or_insert(0) |= OVERFLOWED;
 }
 
 /// The thread ids set in a directory bitmask, lowest first.
@@ -196,27 +182,18 @@ fn tids(mut mask: u32) -> impl Iterator<Item = usize> {
     })
 }
 
-/// Record a conflict that aborts this transaction, attributing it to
-/// the lowest-tid transaction in `mask` (or anonymously when the mask
-/// is empty), and abort.
-fn lose_to_mask<T>(tx: &Txn<'_>, line: LineAddr, mask: u32) -> TxResult<T> {
-    tx.lose(line.0, tids(mask).next())
-}
-
 /// Eager-HTM conflict resolution: the requester loses and aborts
 /// unless it holds the priority token, in which case the victims are
 /// doomed and the requester waits (in simulated time) for them to
 /// vacate the line.
 fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()> {
-    if crate::trace::enabled(TraceLevel::Conflicts) {
-        crate::trace::emit(
-            TraceLevel::Conflicts,
-            format_args!(
-                "line={} tid={} victims={:#x} priority={}",
-                line.0, tx.ctx.tid, victims, tx.ctx.has_priority
-            ),
-        );
-    }
+    crate::trace!(
+        TraceLevel::Conflicts,
+        "line={} tid={} victims={victims:#x} priority={}",
+        line.0,
+        tx.ctx.tid,
+        tx.ctx.has_priority
+    );
     let stall = tx.ctx.global.config.htm_conflict == HtmConflictPolicy::RequesterStalls;
     // Contention-manager arbitration (Karma): a requester with
     // strictly higher priority than every victim wins the conflict
@@ -228,7 +205,7 @@ fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()>
             .wins_conflict(tx.ctx.tid, victims, &tx.ctx.global.cm_shared);
     if !tx.ctx.has_priority && !cm_win && !stall {
         tx.ctx.stats.priority_losses += 1;
-        return lose_to_mask(tx, line, victims);
+        return tx.lose(line.0, tids(victims).next());
     }
     if stall && !tx.ctx.has_priority && !cm_win {
         // LogTM-style deadlock avoidance: only the *older*
@@ -278,7 +255,7 @@ fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()>
             if doom {
                 tx.ctx.stats.priority_losses += 1;
             }
-            return lose_to_mask(tx, line, remaining);
+            return tx.lose(line.0, tids(remaining).next());
         }
     }
 }
@@ -298,12 +275,12 @@ fn check_overflow_sigs(tx: &mut Txn<'_>, line: LineAddr) -> TxResult<()> {
             continue;
         }
         if tx.ctx.global.overflow_sigs[t].hits(&probe) {
-            if crate::trace::enabled(TraceLevel::SigHits) {
-                crate::trace::emit(
-                    TraceLevel::SigHits,
-                    format_args!("line={} tid={} owner={t}", line.0, tx.ctx.tid),
-                );
-            }
+            crate::trace!(
+                TraceLevel::SigHits,
+                "line={} tid={} owner={t}",
+                line.0,
+                tx.ctx.tid
+            );
             if !tx.ctx.has_priority {
                 return tx.lose(line.0, Some(t));
             }
@@ -328,13 +305,14 @@ fn check_overflow_sigs(tx: &mut Txn<'_>, line: LineAddr) -> TxResult<()> {
 /// overflowed into the eager HTM's Bloom filter cannot be released.
 pub(super) fn early_release(tx: &mut Txn<'_>, addr: WordAddr) {
     let line = addr.line();
-    if tx.ctx.txn.overflowed.contains(&line.0) {
+    let flags = tx.ctx.txn.release_read(line.0).unwrap_or(0);
+    if flags & OVERFLOWED != 0 {
         return; // tracked only by the Bloom filter: cannot release
     }
-    if tx.ctx.txn.read_lines.remove(&line.0) {
+    if flags & READ != 0 {
         tx.ctx.verify_release_line(line);
         tx.ctx.global.directory.remove_reader(line, tx.ctx.tid);
-        if !tx.ctx.txn.write_lines.contains(&line.0) && tx.ctx.txn.resident.remove(&line.0) {
+        if flags & (WRITTEN | RESIDENT) == RESIDENT {
             let set = tx.ctx.global.config.l1.set_of(line.0);
             if let Some(c) = tx.ctx.txn.set_counts.get_mut(&set) {
                 *c = c.saturating_sub(1);
@@ -420,12 +398,15 @@ fn clear_overflow_sig(ctx: &ThreadCtx) {
     }
 }
 
+/// Leave the directory: remove this thread from every READ or WRITTEN
+/// line, in any order (removing an unregistered line is a no-op).
 fn release_directory_entries(tx: &mut Txn<'_>) {
-    let tid = tx.ctx.tid;
-    for &l in &tx.ctx.txn.dir_lines {
-        tx.ctx.global.directory.remove(LineAddr(l), tid);
+    let (directory, tid) = (&tx.ctx.global.directory, tx.ctx.tid);
+    for (&l, &flags) in &tx.ctx.txn.lines {
+        if flags & (READ | WRITTEN) != 0 {
+            directory.remove(LineAddr(l), tid);
+        }
     }
-    tx.ctx.txn.dir_lines.clear();
 }
 
 /// Leave the directory, clear the eager HTM's overflow filter, and

@@ -47,9 +47,10 @@ use crate::addr::{LineAddr, WordAddr};
 use crate::cm::{CmCtx, CmPolicy, ContentionManager};
 use crate::config::SystemKind;
 use crate::fault::FaultKind;
+use crate::fxhash::FxHashMap;
 use crate::heap::{TArray, TCell, TmValue};
 use crate::prof::ProfBucket;
-use crate::runtime::{LineSet, ThreadCtx, WordMap, NO_PRIORITY};
+use crate::runtime::{ThreadCtx, NO_PRIORITY};
 use crate::signature::SigProbe;
 use crate::stats::TxnRecord;
 use crate::trace::TraceLevel;
@@ -181,6 +182,14 @@ pub fn abort<T>() -> TxResult<T> {
     Err(Abort(()))
 }
 
+/// [`TxnState::lines`] flags: the attempt read the line; it wrote the
+/// line; the line holds an L1 slot (HTMs); the line spilled into the
+/// eager HTM's overflow filter.
+const READ: u8 = 1;
+const WRITTEN: u8 = 2;
+const RESIDENT: u8 = 4;
+const OVERFLOWED: u8 = 8;
+
 /// Per-attempt transaction state, owned by the thread context and reused
 /// across attempts to avoid allocation churn.
 #[derive(Debug, Default)]
@@ -190,24 +199,23 @@ pub(crate) struct TxnState {
     /// STM read set: lock-table indices to validate at commit.
     pub read_locks: Vec<u32>,
     /// Lazy redo buffer: word address -> value.
-    pub write_map: WordMap,
+    pub write_map: FxHashMap<u64, u64>,
     /// Eager undo log: (word address, previous value), in write order.
     pub undo: Vec<(u64, u64)>,
     /// Eager STM: locks held, with the version to restore on abort.
     pub held_locks: Vec<(u32, u64)>,
-    /// Distinct lines read (stats for all systems; tracked read set for
-    /// HTMs/hybrids).
-    pub read_lines: LineSet,
-    /// Distinct lines written.
-    pub write_lines: LineSet,
-    /// Lines registered in the directory (HTMs), to clear on completion.
-    pub dir_lines: Vec<u64>,
-    /// HTM: lines resident in the modeled L1 (speculative state).
-    pub resident: LineSet,
-    /// Eager HTM: lines that overflowed into the Bloom signature.
-    pub overflowed: LineSet,
-    /// HTM capacity model: lines per L1 set.
-    pub set_counts: crate::fxhash::FxHashMap<u64, u8>,
+    /// Every line this attempt touched, with its flag bits: [`READ`]
+    /// and [`WRITTEN`] (the Table IV read and write sets on every
+    /// system, and the lines the HTMs registered in the directory),
+    /// [`RESIDENT`] (HTMs: in the modeled L1) and [`OVERFLOWED`] (eager
+    /// HTM: spilled into the Bloom filter).
+    pub lines: FxHashMap<u64, u8>,
+    /// Lines with [`READ`] set.
+    pub n_read: u32,
+    /// Lines with [`WRITTEN`] set.
+    pub n_written: u32,
+    /// HTM capacity model: [`RESIDENT`] lines per L1 set.
+    pub set_counts: FxHashMap<u64, u8>,
     /// Lazy HTM: true once overflow forced this transaction to hold the
     /// commit token (serialized execution).
     pub serialized: bool,
@@ -234,11 +242,9 @@ impl TxnState {
         self.write_map.clear();
         self.undo.clear();
         self.held_locks.clear();
-        self.read_lines.clear();
-        self.write_lines.clear();
-        self.dir_lines.clear();
-        self.resident.clear();
-        self.overflowed.clear();
+        self.lines.clear();
+        self.n_read = 0;
+        self.n_written = 0;
         self.set_counts.clear();
         self.serialized = false;
         self.cm_token = false;
@@ -246,6 +252,38 @@ impl TxnState {
         self.app_cycles = 0;
         self.read_barriers = 0;
         self.write_barriers = 0;
+    }
+
+    /// Set `bit` on `line` unless the line has a bit in `seen` (which
+    /// holds `bit`), counting it into `n_read` or `n_written`. Returns
+    /// the previous flags when it set the bit, so the caller does its
+    /// first-read or first-write work once per line.
+    fn mark(&mut self, line: u64, seen: u8, bit: u8) -> Option<u8> {
+        let flags = self.lines.entry(line).or_insert(0);
+        let old = *flags;
+        if old & seen != 0 {
+            return None;
+        }
+        *flags |= bit;
+        self.n_read += u32::from(bit == READ);
+        self.n_written += u32::from(bit == WRITTEN);
+        Some(old)
+    }
+
+    /// Early release: clear `line`'s READ bit, and RESIDENT too unless
+    /// the line is also written; an OVERFLOWED line keeps both. Returns
+    /// the previous flags, if the attempt touched the line.
+    fn release_read(&mut self, line: u64) -> Option<u8> {
+        let flags = self.lines.get_mut(&line)?;
+        let old = *flags;
+        if old & (READ | OVERFLOWED) == READ {
+            *flags &= !READ;
+            if old & WRITTEN == 0 {
+                *flags &= !RESIDENT; // a written line keeps its L1 slot
+            }
+            self.n_read -= 1;
+        }
+        Some(old)
     }
 }
 
@@ -446,8 +484,8 @@ impl ThreadCtx {
         self.stats.cycles_in_txn += self.clock - start_clock;
         let rec = TxnRecord {
             app_cycles: self.txn.app_cycles,
-            read_lines: self.txn.read_lines.len() as u32,
-            write_lines: self.txn.write_lines.len() as u32,
+            read_lines: self.txn.n_read,
+            write_lines: self.txn.n_written,
             read_barriers: self.txn.read_barriers,
             write_barriers: self.txn.write_barriers,
             retries,
@@ -514,16 +552,12 @@ impl ThreadCtx {
         start_clock: u64,
         mut retries: u32,
     ) -> R {
-        if crate::trace::enabled(TraceLevel::Faults) {
-            crate::trace::emit(
-                TraceLevel::Faults,
-                format_args!(
-                    "watchdog tid={} retries={retries} invested={} -> irrevocable",
-                    self.tid,
-                    self.clock - start_clock
-                ),
-            );
-        }
+        crate::trace!(
+            TraceLevel::Faults,
+            "watchdog tid={} retries={retries} invested={} -> irrevocable",
+            self.tid,
+            self.clock - start_clock
+        );
         // 1. The irrevocability gate (one escalated transaction at a
         // time; losers wait their turn here).
         while self.global.irrevocable.get() != NO_PRIORITY {
@@ -827,7 +861,7 @@ impl Txn<'_> {
         let clock = self.ctx.clock;
         let quantum = self.ctx.global.config.quantum;
         let signatures = self.ctx.global.config.system.props().signatures;
-        let footprint = self.ctx.txn.read_lines.len() + self.ctx.txn.write_lines.len();
+        let footprint = (self.ctx.txn.n_read + self.ctx.txn.n_written) as usize;
         let f = self.ctx.fault.as_mut().expect("checked above");
         let injected = 'probe: {
             if f.cfg.interrupt_permille != 0 && quantum > 0 {
@@ -853,15 +887,12 @@ impl Txn<'_> {
             return Ok(());
         };
         f.injected = Some(kind);
-        if crate::trace::enabled(TraceLevel::Faults) {
-            crate::trace::emit(
-                TraceLevel::Faults,
-                format_args!(
-                    "inject kind={kind} tid={} attempt={} footprint={footprint}",
-                    self.ctx.tid, self.ctx.stats.attempts
-                ),
-            );
-        }
+        crate::trace!(
+            TraceLevel::Faults,
+            "inject kind={kind} tid={} attempt={} footprint={footprint}",
+            self.ctx.tid,
+            self.ctx.stats.attempts
+        );
         Err(Abort(()))
     }
 
@@ -880,7 +911,7 @@ impl Txn<'_> {
         let barrier = self.ctx.global.config.system.props().write_barrier;
         self.ctx.charge_tm(barrier);
         let line = addr.line();
-        self.ctx.txn.write_lines.insert(line.0);
+        self.ctx.txn.mark(line.0, WRITTEN, WRITTEN);
         self.ctx.charge_mem(line);
         self.ctx.txn_store_eager(addr, value);
     }
@@ -889,14 +920,14 @@ impl Txn<'_> {
 
     fn seq_read(&mut self, addr: WordAddr) -> u64 {
         let line = addr.line();
-        self.ctx.txn.read_lines.insert(line.0);
+        self.ctx.txn.mark(line.0, READ, READ);
         self.ctx.charge_mem(line);
         self.ctx.txn_load(addr)
     }
 
     fn seq_write(&mut self, addr: WordAddr, value: u64) {
         let line = addr.line();
-        self.ctx.txn.write_lines.insert(line.0);
+        self.ctx.txn.mark(line.0, WRITTEN, WRITTEN);
         self.ctx.charge_mem(line);
         self.ctx.txn_store_commit(addr, value);
     }
@@ -995,41 +1026,36 @@ impl Txn<'_> {
             SystemKind::LazyHybrid => sigtm::lazy_commit(self),
             SystemKind::EagerHybrid => sigtm::eager_commit(self),
         };
-        if result.is_ok() {
-            // Injected delayed commit: extra cycles modeling commit
-            // arbitration / coherence-burst stalls, charged as TM
-            // overhead of the committing attempt.
-            let stall = self.ctx.fault.as_mut().map_or(0, |f| {
-                if f.stream.roll(f.cfg.stall_permille) {
-                    f.cfg.stall_cycles
-                } else {
-                    0
-                }
-            });
-            if stall > 0 {
-                if crate::trace::enabled(TraceLevel::Faults) {
-                    crate::trace::emit(
-                        TraceLevel::Faults,
-                        format_args!(
-                            "inject kind={} tid={} cycles={stall}",
-                            FaultKind::CommitStall,
-                            self.ctx.tid
-                        ),
-                    );
-                }
-                self.ctx.charge_tm(stall);
-            }
+        if result.is_err() {
+            self.rollback();
+            return result;
         }
-        if result.is_ok() && self.ctx.txn.cm_token {
+        // Injected delayed commit: extra cycles modeling commit
+        // arbitration / coherence-burst stalls, charged as TM overhead of
+        // the committing attempt.
+        let stall = self.ctx.fault.as_mut().map_or(0, |f| {
+            if f.stream.roll(f.cfg.stall_permille) {
+                f.cfg.stall_cycles
+            } else {
+                0
+            }
+        });
+        if stall > 0 {
+            crate::trace!(
+                TraceLevel::Faults,
+                "inject kind={} tid={} cycles={stall}",
+                FaultKind::CommitStall,
+                self.ctx.tid
+            );
+            self.ctx.charge_tm(stall);
+        }
+        if self.ctx.txn.cm_token {
             // CM-serialized attempt: the token was held since begin;
             // release it only now that the commit's effects are visible.
             self.ctx.global.commit_token.release();
             self.ctx.txn.cm_token = false;
         }
-        if result.is_err() {
-            self.rollback();
-        }
-        result
+        Ok(())
     }
 
     /// Undo all side effects of the current attempt. Called on every

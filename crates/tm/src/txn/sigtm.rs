@@ -1,13 +1,17 @@
 //! The SigTM-style hybrids (§IV): software versioning with hardware
 //! read and write signatures ([`crate::signature`]) for line-granularity
-//! conflict detection and strong isolation. The lazy hybrid buffers
-//! writes and, under the commit token, dooms every active transaction
-//! whose signatures hold a written line before and after applying them;
-//! the eager hybrid writes in place behind an undo log and checks the
-//! other threads' signatures at encounter time, the requester losing.
-//! Signatures cannot remove a line, so early release is a no-op here.
+//! conflict detection and strong isolation; a line enters a signature on
+//! its first read or write in the attempt's line table
+//! (`TxnState::lines`). The lazy hybrid buffers writes and, under the
+//! commit token, dooms every active transaction whose signatures hold a
+//! written line before and after applying them, scanning the lines in
+//! address order so a victim is blamed on the lowest it holds; the eager
+//! hybrid writes in place behind an undo log and checks the other
+//! threads' signatures at encounter time, the requester losing (it does
+//! not mark a read of a line it already wrote). Signatures cannot remove
+//! a line, so early release is a no-op here.
 
-use super::{Abort, SystemProps, TxResult, Txn};
+use super::{Abort, SystemProps, TxResult, Txn, READ, WRITTEN};
 use crate::addr::{LineAddr, WordAddr};
 use crate::config::SystemKind;
 use crate::signature::SigProbe;
@@ -22,9 +26,8 @@ pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
         return Ok(v);
     }
     let line = addr.line();
-    if !tx.ctx.txn.read_lines.contains(&line.0) {
+    if tx.ctx.txn.mark(line.0, READ, READ).is_some() {
         tx.ctx.global.read_sigs[tx.ctx.tid].insert(line);
-        tx.ctx.txn.read_lines.insert(line.0);
     }
     tx.ctx.charge_mem(line);
     Ok(tx.ctx.txn_load(addr))
@@ -34,9 +37,8 @@ pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResu
     tx.check_doomed()?;
     tx.ctx.charge_tm(LAZY.write_barrier);
     let line = addr.line();
-    if !tx.ctx.txn.write_lines.contains(&line.0) {
+    if tx.ctx.txn.mark(line.0, WRITTEN, WRITTEN).is_some() {
         tx.ctx.global.write_sigs[tx.ctx.tid].insert(line);
-        tx.ctx.txn.write_lines.insert(line.0);
     }
     tx.ctx.txn.write_map.insert(addr.0, value);
     Ok(())
@@ -45,9 +47,8 @@ pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResu
 pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
     tx.ctx.charge_tm(EAGER.read_barrier);
     let line = addr.line();
-    if !tx.ctx.txn.read_lines.contains(&line.0) && !tx.ctx.txn.write_lines.contains(&line.0) {
+    if tx.ctx.txn.mark(line.0, READ | WRITTEN, READ).is_some() {
         tx.ctx.global.read_sigs[tx.ctx.tid].insert(line);
-        tx.ctx.txn.read_lines.insert(line.0);
         check_signatures(tx, line, false)?;
     }
     tx.ctx.charge_mem(line);
@@ -57,9 +58,8 @@ pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
 pub(super) fn eager_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResult<()> {
     tx.ctx.charge_tm(EAGER.write_barrier);
     let line = addr.line();
-    if !tx.ctx.txn.write_lines.contains(&line.0) {
+    if tx.ctx.txn.mark(line.0, WRITTEN, WRITTEN).is_some() {
         tx.ctx.global.write_sigs[tx.ctx.tid].insert(line);
-        tx.ctx.txn.write_lines.insert(line.0);
         check_signatures(tx, line, true)?;
     }
     tx.ctx.txn_store_eager(addr, value);
@@ -85,7 +85,7 @@ fn check_signatures(tx: &Txn<'_>, line: LineAddr, writing: bool) -> TxResult<()>
 }
 
 /// Doom every active transaction whose signature intersects this
-/// commit's write lines, given with their probes.
+/// commit's write lines, given with their probes in address order.
 fn scan_and_doom(tx: &Txn<'_>, lines: &[(u64, SigProbe)]) {
     let global = &tx.ctx.global;
     for t in 0..global.config.threads {
@@ -132,12 +132,14 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
         }
         return Err(Abort(()));
     }
-    // In address order, as the lazy HTM applies its lines: a victim is
-    // blamed on the lowest written line its signatures hold.
-    let mut lines: Vec<(u64, SigProbe)> = (tx.ctx.txn.write_lines.iter())
-        .map(|&l| (l, tx.sig_probe(LineAddr(l))))
+    // The written lines, taken from the redo log, which is smaller to
+    // walk than the line table when the reads outnumber the writes.
+    let mut lines: Vec<(u64, SigProbe)> = (tx.ctx.txn.write_map.keys())
+        .map(|&a| WordAddr(a).line())
+        .map(|l| (l.0, tx.sig_probe(l)))
         .collect();
     lines.sort_unstable_by_key(|&(l, _)| l);
+    lines.dedup_by_key(|&mut (l, _)| l);
     // Doom–apply–doom: any reader that slips between the scans still
     // gets doomed by the second scan, so no zombie survives.
     scan_and_doom(tx, &lines);

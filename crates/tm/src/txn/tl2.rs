@@ -5,7 +5,7 @@
 //! locks its write set at commit; the eager STM locks at encounter time
 //! and writes in place behind an undo log.
 
-use super::{Abort, SystemProps, TxResult, Txn};
+use super::{Abort, SystemProps, TxResult, Txn, READ, WRITTEN};
 use crate::addr::WordAddr;
 use crate::config::{MutationHook, SystemKind};
 use crate::locks::LockWord;
@@ -25,7 +25,7 @@ pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
         LockWord::Unlocked { version } => read_unlocked(tx, addr, idx, version)?,
     };
     let line = addr.line();
-    tx.ctx.txn.read_lines.insert(line.0);
+    tx.ctx.txn.mark(line.0, READ, READ);
     tx.ctx.charge_mem(line);
     Ok(val)
 }
@@ -43,7 +43,7 @@ pub(super) fn eager_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
         LockWord::Unlocked { version } => read_unlocked(tx, addr, idx, version)?,
     };
     let line = addr.line();
-    tx.ctx.txn.read_lines.insert(line.0);
+    tx.ctx.txn.mark(line.0, READ, READ);
     tx.ctx.charge_mem(line);
     Ok(val)
 }
@@ -71,7 +71,7 @@ fn read_unlocked(tx: &mut Txn<'_>, addr: WordAddr, idx: u32, version: u64) -> Tx
 pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) {
     tx.ctx.charge_tm(LAZY.write_barrier);
     tx.ctx.txn.write_map.insert(addr.0, value);
-    tx.ctx.txn.write_lines.insert(addr.line().0);
+    tx.ctx.txn.mark(addr.line().0, WRITTEN, WRITTEN);
 }
 
 /// Eager write barrier: take the word's lock at encounter time (unless
@@ -95,7 +95,7 @@ pub(super) fn eager_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxRes
         }
     }
     tx.ctx.txn_store_eager(addr, value);
-    tx.ctx.txn.write_lines.insert(line.0);
+    tx.ctx.txn.mark(line.0, WRITTEN, WRITTEN);
     tx.ctx.charge_mem(line);
     Ok(())
 }
@@ -106,7 +106,7 @@ pub(super) fn early_release(tx: &mut Txn<'_>, addr: WordAddr) {
     let line = addr.line();
     let idx = tx.ctx.global.locks.index_of(addr);
     tx.ctx.txn.read_locks.retain(|&i| i != idx);
-    tx.ctx.txn.read_lines.remove(&line.0);
+    tx.ctx.txn.release_read(line.0);
     tx.ctx.verify_release_line(line);
     tx.ctx.charge_tm(2);
 }

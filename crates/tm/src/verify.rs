@@ -1023,9 +1023,7 @@ pub(crate) fn finalize(vs: &VerifyState, system: SystemKind) -> VerifyReport {
     if let Some(reference) = reference {
         reference::record(&report, reference);
     }
-    if crate::trace::enabled(crate::trace::TraceLevel::Verify) {
-        crate::trace::emit(crate::trace::TraceLevel::Verify, format_args!("{report}"));
-    }
+    crate::trace!(crate::trace::TraceLevel::Verify, "{report}");
     report
 }
 

@@ -138,7 +138,14 @@ fn run(system: SystemKind, path: Path) -> Pin {
             });
         }
     });
-    let lines = |f: fn(&TxnRecord) -> u32| r.stats.records.records().iter().map(|t| u64::from(f(t))).sum();
+    let lines = |f: fn(&TxnRecord) -> u32| {
+        r.stats
+            .records
+            .records()
+            .iter()
+            .map(|t| u64::from(f(t)))
+            .sum()
+    };
     [
         r.sim_cycles,
         r.stats.commits,
