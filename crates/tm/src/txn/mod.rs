@@ -1138,4 +1138,42 @@ mod tests {
         assert!(read(LazyStm) > read(EagerStm));
         assert!(read(EagerStm) > read(LazyHybrid));
     }
+
+    /// The eager-HTM livelock guard: under every policy, an attempt
+    /// runs holding the priority token only once its transaction has
+    /// aborted 32 times, and only on a row with a priority token. Each
+    /// transaction aborts itself 40 times, so every system reaches the
+    /// abort count.
+    #[test]
+    fn promotion_needs_32_aborts_and_a_priority_token_row() {
+        use crate::{TmConfig, TmRuntime};
+        use std::cell::Cell;
+        for system in SystemKind::ALL_TM {
+            for policy in CmPolicy::ALL {
+                let rt = TmRuntime::new(TmConfig::new(system, 2).cm(policy));
+                let cell = rt.heap().alloc_cell(0u64);
+                let promoted = Cell::new(0u32);
+                rt.run(|ctx| {
+                    for _ in 0..2 {
+                        let mut attempt = 0u32;
+                        ctx.atomic(|txn| {
+                            if txn.ctx.has_priority {
+                                assert!(attempt >= 32, "{system}/{policy}: promoted at {attempt}");
+                                promoted.set(promoted.get() + 1);
+                            }
+                            attempt += 1;
+                            let v = txn.read(&cell)?;
+                            txn.write(&cell, v + 1)?;
+                            if attempt <= 40 {
+                                return abort();
+                            }
+                            Ok(())
+                        });
+                    }
+                });
+                let want = system.props().priority_token;
+                assert_eq!(promoted.get() > 0, want, "{system}/{policy}");
+            }
+        }
+    }
 }
