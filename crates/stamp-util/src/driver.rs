@@ -265,6 +265,18 @@ mod tests {
         assert!(bad("", &[("TM_PROF", "yes")]).contains("TM_PROF"));
     }
 
+    /// The CM and scheduler rows take exactly the names `--help` lists:
+    /// an old alias is a bad value, named with its flag or variable.
+    #[test]
+    fn only_listed_names_parse() {
+        let cm = bad("--cm ats", &[]);
+        assert!(cm.starts_with("invalid value \"ats\" for --cm"));
+        assert!(cm.ends_with("expected immediate|linear|exponential|karma|adaptive"));
+        let sched = bad("", &[("TM_SCHED", "det")]);
+        assert!(sched.starts_with("invalid value \"det\" for TM_SCHED"));
+        assert!(sched.ends_with("expected minclock|pct"));
+    }
+
     fn defaults<P: AppArgs>() -> P {
         let table = Table::new(P::APP.name(), app_rows(P::APP));
         P::from_flags(&table.parse(Vec::new(), |_| None).unwrap())

@@ -259,10 +259,10 @@ struct Unwound;
 /// the fiber's stack. Both sides access it only through raw pointers,
 /// and never at the same time: control passes between them only at a
 /// switch.
-struct Context<'a> {
+struct Context<F> {
     regs: Regs,
     /// The body, until the fiber first runs.
-    body: Option<Box<dyn FnOnce() + 'a>>,
+    body: Option<F>,
     /// Set when the body has returned (`Ok`) or panicked (`Err`),
     /// until `resume` hands it out.
     outcome: Option<std::thread::Result<()>>,
@@ -278,17 +278,17 @@ thread_local! {
 /// A body running on its own stack, switched to and from on the
 /// current OS thread. `!Send`: its stack may hold borrows of the
 /// creating thread's frames.
-pub(crate) struct Fiber<'a> {
-    ctx: NonNull<Context<'a>>,
+pub(crate) struct Fiber<F: FnOnce()> {
+    ctx: NonNull<Context<F>>,
     /// Held so the stack stays mapped for as long as the fiber can run.
     _stack: Mapping,
     _not_send: PhantomData<*mut ()>,
 }
 
-impl<'a> Fiber<'a> {
+impl<F: FnOnce()> Fiber<F> {
     /// A suspended fiber that will run `body` on a fresh 2 MiB stack
     /// when first resumed.
-    pub(crate) fn new(body: impl FnOnce() + 'a) -> Fiber<'a> {
+    pub(crate) fn new(body: F) -> Fiber<F> {
         let stack = Mapping::new(STACK_BYTES + PAGE, PAGE);
         let ctx = NonNull::from(Box::leak(Box::new(Context {
             regs: Regs {
@@ -296,7 +296,7 @@ impl<'a> Fiber<'a> {
                 caller_sp: ptr::null_mut(),
                 unwind: false,
             },
-            body: Some(Box::new(body)),
+            body: Some(body),
             outcome: None,
             finished: false,
         })));
@@ -305,7 +305,7 @@ impl<'a> Fiber<'a> {
         // rbp = 0 (ends frame-pointer walks), return address. Two spare
         // words above it leave the stack 16-byte aligned at the call
         // in `stamp_tm_fiber_start`.
-        let entry: unsafe extern "C" fn(*mut Context<'a>) -> ! = fiber_main;
+        let entry: unsafe extern "C" fn(*mut Context<F>) -> ! = fiber_main::<F>;
         let frame: [u64; 8] = [
             INITIAL_MXCSR | (INITIAL_X87_CW << 32),
             0,
@@ -352,7 +352,7 @@ impl<'a> Fiber<'a> {
         // last switched away (or the initial frame `new` built), on a
         // stack `self` keeps mapped. The fiber switches back to
         // `caller_sp` before this call returns, and everything the body
-        // borrows outlives `'a`, which outlives `self`.
+        // borrows outlives `self` (a `Fiber<F>` cannot outlive `F`).
         unsafe { stamp_tm_fiber_switch(ptr::addr_of_mut!((*regs).caller_sp), (*regs).fiber_sp) };
         CURRENT.set(outer);
         // SAFETY: the fiber is suspended or finished again.
@@ -390,12 +390,12 @@ pub(crate) fn suspend() {
 ///
 /// Only `stamp_tm_fiber_start` calls this, on a fresh fiber's stack,
 /// with the context of the `Fiber` whose `resume` switched to it.
-unsafe extern "C" fn fiber_main(ctx: *mut Context<'_>) -> ! {
+unsafe extern "C" fn fiber_main<F: FnOnce()>(ctx: *mut Context<F>) -> ! {
     // SAFETY: `ctx` is the context `Fiber::new` passed in r13; the
     // `Fiber` keeps it live and is inside `resume`, so no one else
-    // touches it until the switch below. The body's borrows live for
-    // `'a`, which outlives the `Fiber`, and the fiber only ever runs
-    // inside `resume` — never after the `Fiber` is dropped.
+    // touches it until the switch below. The body's borrows outlive
+    // the `Fiber`, and the fiber only ever runs inside `resume` — never
+    // after the `Fiber` is dropped.
     let body = unsafe { (*ctx).body.take() }.expect("fiber started twice");
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
     // SAFETY: as above.
@@ -408,7 +408,7 @@ unsafe extern "C" fn fiber_main(ctx: *mut Context<'_>) -> ! {
     unreachable!("a finished fiber was resumed")
 }
 
-impl Drop for Fiber<'_> {
+impl<F: FnOnce()> Drop for Fiber<F> {
     fn drop(&mut self) {
         let ctx = self.ctx.as_ptr();
         // SAFETY: the fiber is not running, so `ctx` is ours to read.
@@ -436,7 +436,7 @@ mod tests {
     use std::rc::Rc;
 
     /// Resume every unfinished fiber in turn until all have finished.
-    fn round_robin(fibers: &mut [Fiber<'_>]) {
+    fn round_robin<F: FnOnce()>(fibers: &mut [Fiber<F>]) {
         let mut live = vec![true; fibers.len()];
         while live.contains(&true) {
             for (fiber, live) in fibers.iter_mut().zip(&mut live) {
@@ -468,7 +468,7 @@ mod tests {
     fn integer_and_float_state_survives_switches_among_16_fibers() {
         const STEPS: u64 = 4000;
         let results = RefCell::new(vec![None; 16]);
-        let mut fibers: Vec<Fiber<'_>> = (0..16u64)
+        let mut fibers: Vec<_> = (0..16u64)
             .map(|t| {
                 let results = &results;
                 Fiber::new(move || {

@@ -70,7 +70,7 @@ pub mod txn;
 pub mod verify;
 
 pub use addr::{LineAddr, WordAddr, LINE_BYTES, WORDS_PER_LINE, WORD_BYTES};
-pub use cm::{AbortAction, CmCtx, CmPolicy, CmShared, ContentionManager};
+pub use cm::{CmPolicy, CmShared};
 pub use config::{
     CacheGeometry, CostModel, Granularity, HtmConflictPolicy, MutationHook, SystemKind, TmConfig,
 };

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use crate::addr::{LineAddr, WordAddr};
 use crate::cache::CacheModel;
-use crate::cm::{make_cm, CmShared, ContentionManager};
+use crate::cm::{CmPolicy, CmShared};
 use crate::config::MutationHook;
 use crate::config::{SystemKind, TmConfig};
 use crate::directory::Directory;
@@ -246,7 +246,7 @@ impl TmRuntime {
         // Declared after everything the fibers borrow, so an unwind out
         // of the driver unwinds and unmaps unfinished fibers before any
         // of it drops.
-        let mut fibers: Vec<Fiber<'_>> = (0..n)
+        let mut fibers: Vec<Fiber<_>> = (0..n)
             .map(|tid| {
                 let global = global.clone();
                 let (body, slot) = (&body, &collected[tid]);
@@ -368,8 +368,12 @@ pub struct ThreadCtx {
     pub(crate) txn: TxnState,
     pub(crate) in_txn: bool,
     pub(crate) has_priority: bool,
-    /// This thread's contention manager (see [`crate::cm`]).
-    pub(crate) cm: Box<dyn ContentionManager>,
+    /// This thread's contention-management policy (see [`crate::cm`]).
+    pub(crate) cm: CmPolicy,
+    /// The adaptive policy's abort EWMA in per-mille
+    /// ([`crate::cm::ewma_step`]): the only per-thread state any policy
+    /// keeps (Karma's lives in [`Global::cm_shared`]).
+    pub(crate) cm_ewma: u64,
     /// Fault-injection state, when the run has an enabled
     /// [`crate::FaultConfig`] and the system is transactional (`None`
     /// otherwise; boxed to keep the hot context small).
@@ -397,7 +401,7 @@ impl ThreadCtx {
             .cache_sim
             .then(|| CacheModel::new(global.config.l1));
         let seed = global.config.seed ^ ((tid as u64 + 1).wrapping_mul(0xA24B_AED4_963E_E407));
-        let cm = make_cm(global.config.effective_cm(), &global.config);
+        let cm = global.config.effective_cm();
         let global_prof = global.config.prof;
         let transactional = global.config.system.props().transactional;
         let fault = transactional
@@ -426,6 +430,7 @@ impl ThreadCtx {
             in_txn: false,
             has_priority: false,
             cm,
+            cm_ewma: 0,
             fault,
             watchdog,
             irrevocable: false,

@@ -94,16 +94,10 @@ pub enum SchedMode {
 }
 
 impl SchedMode {
-    /// Parse a mode name: `minclock` (also `det`/`deterministic`) or
-    /// `pct`.
+    /// Parse a mode name, exactly `minclock` or `pct`.
     pub fn parse(s: &str) -> Option<SchedMode> {
-        let norm: String = s
-            .chars()
-            .filter(|c| c.is_ascii_alphanumeric())
-            .collect::<String>()
-            .to_ascii_lowercase();
-        Some(match norm.as_str() {
-            "minclock" | "det" | "deterministic" => SchedMode::MinClock,
+        Some(match s {
+            "minclock" => SchedMode::MinClock,
             "pct" => SchedMode::Pct {
                 avg_gap: DEFAULT_PCT_GAP,
             },
@@ -824,14 +818,15 @@ mod tests {
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(SchedMode::parse("min-clock"), Some(SchedMode::MinClock));
-        assert_eq!(SchedMode::parse("deterministic"), Some(SchedMode::MinClock));
+        assert_eq!(SchedMode::parse("minclock"), Some(SchedMode::MinClock));
         assert_eq!(
             SchedMode::parse("pct"),
             Some(SchedMode::Pct {
                 avg_gap: DEFAULT_PCT_GAP
             })
         );
-        assert_eq!(SchedMode::parse("bogus"), None);
+        for alias in ["bogus", "min-clock", "det", "deterministic", "PCT"] {
+            assert_eq!(SchedMode::parse(alias), None, "{alias}");
+        }
     }
 }

@@ -16,6 +16,7 @@
 
 use super::{Abort, TxResult, Txn, OVERFLOWED, READ, RESIDENT, WRITTEN};
 use crate::addr::{LineAddr, WordAddr};
+use crate::cm::CmPolicy;
 use crate::config::HtmConflictPolicy;
 use crate::runtime::{ThreadCtx, NO_PRIORITY};
 use crate::trace::TraceLevel;
@@ -44,14 +45,13 @@ pub(super) fn await_priority(ctx: &mut ThreadCtx) {
     }
 }
 
-/// The paper's livelock guard: after 32 aborts (the contention manager
-/// requests it) a transaction on a design with a priority token (the
-/// eager HTM) is promoted so no other transaction can abort it.
+/// The paper's livelock guard: after
+/// [`HTM_PRIORITY_AFTER`](crate::cm::HTM_PRIORITY_AFTER) aborts a
+/// transaction on a design with a priority token (the eager HTM) is
+/// promoted so no other transaction can abort it, unless another
+/// thread holds the token.
 pub(super) fn take_priority(ctx: &mut ThreadCtx) {
-    if ctx.global.config.system.props().priority_token
-        && !ctx.has_priority
-        && ctx.global.priority.get() == NO_PRIORITY
-    {
+    if !ctx.has_priority && ctx.global.priority.get() == NO_PRIORITY {
         ctx.global.priority.set(ctx.tid);
         ctx.has_priority = true;
     }
@@ -195,14 +195,12 @@ fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()>
         tx.ctx.has_priority
     );
     let stall = tx.ctx.global.config.htm_conflict == HtmConflictPolicy::RequesterStalls;
-    // Contention-manager arbitration (Karma): a requester with
-    // strictly higher priority than every victim wins the conflict
-    // as if it held the priority token. Fixed policies never win.
+    // Karma arbitration: a requester with strictly more karma than
+    // every victim wins the conflict as if it held the priority token.
+    // No other policy wins.
     let cm_win = !tx.ctx.has_priority
-        && tx
-            .ctx
-            .cm
-            .wins_conflict(tx.ctx.tid, victims, &tx.ctx.global.cm_shared);
+        && matches!(tx.ctx.cm, CmPolicy::Karma { .. })
+        && tx.ctx.global.cm_shared.outranks(tx.ctx.tid, victims);
     if !tx.ctx.has_priority && !cm_win && !stall {
         tx.ctx.stats.priority_losses += 1;
         return tx.lose(line.0, tids(victims).next());

@@ -44,7 +44,7 @@ mod sigtm;
 mod tl2;
 
 use crate::addr::{LineAddr, WordAddr};
-use crate::cm::{CmCtx, CmPolicy, ContentionManager};
+use crate::cm::{ewma_step, CmPolicy, HTM_PRIORITY_AFTER};
 use crate::config::SystemKind;
 use crate::fault::FaultKind;
 use crate::fxhash::FxHashMap;
@@ -306,7 +306,7 @@ impl ThreadCtx {
         let start_clock = self.clock;
         let mut retries: u32 = 0;
         loop {
-            self.begin_attempt(retries);
+            self.begin_attempt();
             let committed = {
                 let mut txn = Txn { ctx: &mut *self };
                 match body(&mut txn) {
@@ -360,7 +360,7 @@ impl ThreadCtx {
         }
     }
 
-    fn begin_attempt(&mut self, retries: u32) {
+    fn begin_attempt(&mut self) {
         htm::await_priority(self);
         self.start_attempt();
         self.global.active[self.tid].set(true);
@@ -389,12 +389,12 @@ impl ThreadCtx {
             // A CM-serialized lazy-HTM attempt reuses the overflow-
             // serialization path: its commit and rollback already
             // release the token when `serialized` is set.
-            SystemKind::LazyHtm => self.txn.serialized = self.cm_admission(retries),
+            SystemKind::LazyHtm => self.txn.serialized = self.cm_admission(),
             SystemKind::EagerHtm
             | SystemKind::LazyStm
             | SystemKind::EagerStm
             | SystemKind::LazyHybrid
-            | SystemKind::EagerHybrid => self.txn.cm_token = self.cm_admission(retries),
+            | SystemKind::EagerHybrid => self.txn.cm_token = self.cm_admission(),
         }
         self.txn.rv = self.global.clock.read();
         let ts = self.global.ts_counter.get();
@@ -425,40 +425,12 @@ impl ThreadCtx {
         self.charge_tm(self.global.config.system.props().txn_fixed);
     }
 
-    /// Call this thread's contention manager with its view of the
-    /// current transaction.
-    fn consult_cm<R>(
-        &mut self,
-        retries: u32,
-        spurious: bool,
-        call: impl FnOnce(&mut dyn ContentionManager, &mut CmCtx<'_>) -> R,
-    ) -> R {
-        let ThreadCtx {
-            cm,
-            rng,
-            global,
-            txn,
-            tid,
-            ..
-        } = self;
-        let mut cctx = CmCtx {
-            tid: *tid,
-            retries,
-            attempt_work: txn.app_cycles,
-            spurious,
-            rng,
-            shared: &global.cm_shared,
-        };
-        call(cm.as_mut(), &mut cctx)
-    }
-
-    /// Contention-manager admission control: ask the CM whether this
-    /// attempt should be funneled through the global serialization
-    /// queue, and if so take the commit token for the attempt's whole
+    /// Contention-manager admission control: if the policy serializes
+    /// this attempt, take the commit token for the attempt's whole
     /// duration and return true. Runs before the TL2 read-timestamp is
     /// taken so a long queue wait still yields a fresh snapshot.
-    fn cm_admission(&mut self, retries: u32) -> bool {
-        if !self.consult_cm(retries, false, |cm, cctx| cm.on_begin(cctx)) {
+    fn cm_admission(&mut self) -> bool {
+        if !self.cm.serializes(self.cm_ewma) {
             return false;
         }
         // The wait advances simulated time only (10 cycles per probe,
@@ -476,7 +448,13 @@ impl ThreadCtx {
         self.verify_commit_attempt();
         self.global.active[self.tid].set(false);
         htm::release_priority(self);
-        self.consult_cm(retries, false, |cm, cctx| cm.on_commit(cctx));
+        match self.cm {
+            CmPolicy::Karma { .. } => self.global.cm_shared.reset_karma(self.tid),
+            CmPolicy::AdaptiveSerialize { .. } => self.cm_ewma = ewma_step(self.cm_ewma, false),
+            CmPolicy::Immediate
+            | CmPolicy::RandomizedLinear { .. }
+            | CmPolicy::ExponentialRandom { .. } => {}
+        }
         if self.txn.cm_serialized_attempt {
             self.stats.serialized_commits += 1;
         }
@@ -498,15 +476,46 @@ impl ThreadCtx {
         // not to (committed-attempt) overhead.
         let fixed = self.global.config.cost.abort_fixed;
         self.charge_bucket(fixed, ProfBucket::Wasted);
-        let action = self.consult_cm(retries, spurious, |cm, cctx| cm.on_abort(cctx));
-        if action.backoff_cycles > 0 {
+        let (cm, tid, shared) = (self.cm, self.tid, &self.global.cm_shared);
+        let backoff = match cm {
+            CmPolicy::Karma { .. } => {
+                // The aborted attempt's work is invested, not lost: it
+                // raises this transaction's priority for the next
+                // conflict. The leader retries at once; the rest yield.
+                shared.add_karma(tid, self.txn.app_cycles.max(1));
+                if shared.is_karma_leader(tid) {
+                    0
+                } else {
+                    cm.backoff(retries, &mut self.rng)
+                }
+            }
+            CmPolicy::AdaptiveSerialize { .. } => {
+                // Injected (spurious) aborts carry no contention signal:
+                // counting them would serialize the whole run in
+                // response to noise. A thread about to serialize need
+                // not back off.
+                if !spurious {
+                    self.cm_ewma = ewma_step(self.cm_ewma, true);
+                }
+                if cm.serializes(self.cm_ewma) {
+                    0
+                } else {
+                    cm.backoff(retries, &mut self.rng)
+                }
+            }
+            CmPolicy::Immediate
+            | CmPolicy::RandomizedLinear { .. }
+            | CmPolicy::ExponentialRandom { .. } => cm.backoff(retries, &mut self.rng),
+        };
+        if backoff > 0 {
             // A zero-cycle charge never flushes (pending stays below the
             // flush threshold), so skipping it is interleaving-neutral
             // and keeps the default schedules bit-identical.
-            self.stats.backoff_cycles += action.backoff_cycles;
-            self.charge_bucket(action.backoff_cycles, ProfBucket::Backoff);
+            self.stats.backoff_cycles += backoff;
+            self.charge_bucket(backoff, ProfBucket::Backoff);
         }
-        if action.request_priority {
+        // The eager HTM's livelock guard, under every policy.
+        if retries >= HTM_PRIORITY_AFTER && self.global.config.system.props().priority_token {
             htm::take_priority(self);
         }
     }
@@ -1152,14 +1161,16 @@ mod tests {
             for policy in CmPolicy::ALL {
                 let rt = TmRuntime::new(TmConfig::new(system, 2).cm(policy));
                 let cell = rt.heap().alloc_cell(0u64);
-                let promoted = Cell::new(0u32);
+                // The fewest aborts an attempt holding the token had
+                // seen. Asserted after the run: a panic inside it would
+                // leave the token held and the other thread waiting.
+                let first = Cell::new(None::<u32>);
                 rt.run(|ctx| {
                     for _ in 0..2 {
                         let mut attempt = 0u32;
                         ctx.atomic(|txn| {
                             if txn.ctx.has_priority {
-                                assert!(attempt >= 32, "{system}/{policy}: promoted at {attempt}");
-                                promoted.set(promoted.get() + 1);
+                                first.set(Some(first.get().map_or(attempt, |f| f.min(attempt))));
                             }
                             attempt += 1;
                             let v = txn.read(&cell)?;
@@ -1171,8 +1182,11 @@ mod tests {
                         });
                     }
                 });
-                let want = system.props().priority_token;
-                assert_eq!(promoted.get() > 0, want, "{system}/{policy}");
+                let token = system.props().priority_token;
+                match first.get() {
+                    Some(at) => assert!(token && at >= 32, "{system}/{policy}: promoted at {at}"),
+                    None => assert!(!token, "{system}/{policy}: never promoted"),
+                }
             }
         }
     }

@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use tm::addr::{LineAddr, WordAddr};
-use tm::cm::{make_cm, CmCtx, CmPolicy, CmShared};
+use tm::cm::CmPolicy;
 use tm::config::Granularity;
 use tm::locks::{GlobalClock, LockTable, LockWord};
 use tm::signature::{table_v_hashes, SigProbe, Signature};
@@ -239,15 +239,13 @@ proptest! {
     ) {
         let (lo, hi) = (r1.min(r2), r1.max(r2));
         for policy in CmPolicy::ALL {
-            let cfg = TmConfig::new(SystemKind::LazyStm, 2);
-            let cm = make_cm(policy, &cfg);
-            let bound = cm.backoff_window(u32::MAX);
+            let bound = policy.backoff_window(u32::MAX);
             prop_assert!(
-                cm.backoff_window(lo) <= cm.backoff_window(hi),
+                policy.backoff_window(lo) <= policy.backoff_window(hi),
                 "{policy} window not monotone at {lo}..{hi}"
             );
             prop_assert!(
-                cm.backoff_window(hi) <= bound,
+                policy.backoff_window(hi) <= bound,
                 "{policy} window exceeds its cap"
             );
         }
@@ -270,9 +268,7 @@ proptest! {
             CmPolicy::Karma { base },
         ];
         for policy in policies {
-            let cfg = TmConfig::new(SystemKind::LazyStm, 2);
-            let cm = make_cm(policy, &cfg);
-            let w = cm.backoff_window(retries);
+            let w = policy.backoff_window(retries);
             // retries >= 65 pushes linear past 65 steps, karma to its
             // 64-step cap, and the exponent to its 40-bit clamp; with
             // base > u64::MAX/64 every product overflows.
@@ -282,7 +278,7 @@ proptest! {
                 policy.label(), retries, base, w
             );
             prop_assert!(
-                cm.backoff_window(1) <= w,
+                policy.backoff_window(1) <= w,
                 "{} window not monotone under saturation", policy.label()
             );
         }
@@ -297,20 +293,9 @@ proptest! {
         seed in 1u64..u64::MAX,
         trace in prop::collection::vec(1u32..5_000, 1..200),
     ) {
-        let cfg = TmConfig::new(SystemKind::LazyHtm, 2);
-        let mut cm = make_cm(CmPolicy::Immediate, &cfg);
-        let shared = CmShared::new(2);
         let mut rng = XorShift64::new(seed);
         for &retries in &trace {
-            let act = cm.on_abort(&mut CmCtx {
-                tid: 0,
-                retries,
-                attempt_work: 7,
-                spurious: false,
-                rng: &mut rng,
-                shared: &shared,
-            });
-            prop_assert_eq!(act.backoff_cycles, 0);
+            prop_assert_eq!(CmPolicy::Immediate.backoff(retries, &mut rng), 0);
         }
         let mut fresh = XorShift64::new(seed);
         prop_assert_eq!(rng.next_u64(), fresh.next_u64());
@@ -340,22 +325,11 @@ proptest! {
             })
             .collect();
         let cfg = TmConfig::new(SystemKind::LazyStm, 2).cm(CmPolicy::RandomizedLinear { after, base });
-        let mut cm = make_cm(cfg.effective_cm(), &cfg);
-        let shared = CmShared::new(2);
+        let cm = cfg.effective_cm();
         let mut new_rng = XorShift64::new(seed);
         let new: Vec<u64> = trace
             .iter()
-            .map(|&retries| {
-                cm.on_abort(&mut CmCtx {
-                    tid: 0,
-                    retries,
-                    attempt_work: 7,
-                    spurious: false,
-                    rng: &mut new_rng,
-                    shared: &shared,
-                })
-                .backoff_cycles
-            })
+            .map(|&retries| cm.backoff(retries, &mut new_rng))
             .collect();
         prop_assert_eq!(&old, &new);
         prop_assert_eq!(old_rng.next_u64(), new_rng.next_u64());
@@ -387,22 +361,11 @@ proptest! {
         let cfg = TmConfig::new(SystemKind::LazyStm, 2).cm(
             CmPolicy::ExponentialRandom { after, base, max_exp },
         );
-        let mut cm = make_cm(cfg.effective_cm(), &cfg);
-        let shared = CmShared::new(2);
+        let cm = cfg.effective_cm();
         let mut new_rng = XorShift64::new(seed);
         let new: Vec<u64> = trace
             .iter()
-            .map(|&retries| {
-                cm.on_abort(&mut CmCtx {
-                    tid: 0,
-                    retries,
-                    attempt_work: 7,
-                    spurious: false,
-                    rng: &mut new_rng,
-                    shared: &shared,
-                })
-                .backoff_cycles
-            })
+            .map(|&retries| cm.backoff(retries, &mut new_rng))
             .collect();
         prop_assert_eq!(&old, &new);
         prop_assert_eq!(old_rng.next_u64(), new_rng.next_u64());
