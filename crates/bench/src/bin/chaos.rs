@@ -22,11 +22,16 @@
 //! actually exercised, not just present.
 //!
 //! Modes: full sweep (default; 3 rates × 8 seed pairs × 6 systems ×
-//! {2,4,8} threads) or `--smoke` (2 rates × 30 pairs × 2 systems at 4
-//! threads — the CI gate). `--variants <one>` picks the application
-//! (default genome), `--scale N` the workload divisor. The sweep sets
-//! every run's scheduler, faults, watchdog and sanitizer itself; only
-//! `--cm`, `--prof` and `--trace` (or their `TM_*` variables) reach it.
+//! {2,4,8} threads), `--smoke` (2 rates × 30 pairs × 2 systems at 4
+//! threads — the CI gate), or `--check`: the full sweep, compared byte
+//! for byte with the committed `results/chaos.txt` and
+//! `results/BENCH_chaos.json` (written by `--json`), writing nothing
+//! and exiting 1 at the first differing row; 80 of its 432 runs commit
+//! irrevocably, on every system. `--variants <one>` picks the
+//! application (default genome), `--scale N` the workload divisor. The
+//! sweep sets every run's scheduler, faults, watchdog and sanitizer
+//! itself; only `--cm`, `--prof` and `--trace` (or their `TM_*`
+//! variables) reach it.
 
 use std::path::{Path, PathBuf};
 
@@ -164,6 +169,27 @@ fn results_dir() -> PathBuf {
     Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
 }
 
+/// Whether the committed `results/<name>` equals this re-run's `got`;
+/// prints the first differing row when it does not.
+fn matches_artifact(name: &str, got: &str) -> bool {
+    let path = results_dir().join(name);
+    match std::fs::read_to_string(&path) {
+        Ok(want) if want == got => true,
+        Ok(want) => {
+            let diff = bench::first_difference(&want, got);
+            eprintln!(
+                "chaos --check: {} diverged from a re-run ({diff})",
+                path.display()
+            );
+            false
+        }
+        Err(e) => {
+            eprintln!("chaos --check: {}: {e}", path.display());
+            false
+        }
+    }
+}
+
 #[allow(clippy::too_many_arguments)]
 fn sweep(
     f: &Flags,
@@ -277,7 +303,8 @@ fn sweep(
 
 fn main() {
     let f = bench::cli::parse("chaos");
-    let smoke = f.on("smoke");
+    let check = f.on("check");
+    let smoke = f.on("smoke") && !check;
     let scale = f.val("scale");
     let v = &f.val::<Variant>("variants");
     let all_rates = rates();
@@ -325,6 +352,17 @@ fn main() {
             "summary: all runs sanitizer-clean, exact, and live; \
              watchdog trips at high rate: {high_trips}\n"
         ));
+        if check {
+            let txt = matches_artifact("chaos.txt", &out);
+            let json = matches_artifact("BENCH_chaos.json", &sink.render());
+            if !(txt && json) {
+                std::process::exit(1);
+            }
+            println!(
+                "chaos --check: results/chaos.txt and results/BENCH_chaos.json match a re-run"
+            );
+            return;
+        }
         let txt = results_dir().join("chaos.txt");
         std::fs::write(&txt, &out).expect("write chaos.txt");
         println!("wrote {}", txt.display());

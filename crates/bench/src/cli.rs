@@ -151,6 +151,7 @@ pub const HARNESSES: [(&str, fn() -> Vec<Flag>); 15] = [
     ], run_rows(&["sched", "sched-seed", "verify"]))),
     ("chaos", || with(vec![
         Flag::switch("smoke", "CI gate: 2 rates x 30 seed pairs x 2 systems"),
+        Flag::switch("check", "byte-verify results/chaos.txt and results/BENCH_chaos.json; write nothing"),
         scale(64),
         Flag::value("variants", "<name>", Some("genome"), "the one variant to sweep", |s| {
             stamp_util::variant(s).ok_or_else(|| "expected one variant".to_string())

@@ -20,7 +20,7 @@
 //! | `ablation_bayes_backend` | bayes ADtree vs record-scan sufficient statistics |
 //! | `ablation_cm` | §V-A contention management: the five `tm::cm` policies on the high-contention variants |
 //! | `schedfuzz` | deterministic-schedule explorer: seed sweeps + PCT adversarial interleavings under the sanitizer, and the `results/golden/` cycle-count regression files; `--fault <spec>` (or `TM_FAULT`) composes fault injection with the seed sweep |
-//! | `chaos` | `tm::fault` robustness sweep: fault rates × (sched, fault) seed pairs × all 6 systems, sanitizer + liveness invariants as pass/fail, degradation curve in `results/chaos.txt` |
+//! | `chaos` | `tm::fault` robustness sweep: fault rates × (sched, fault) seed pairs × all 6 systems, sanitizer + liveness invariants as pass/fail, degradation curve in `results/chaos.txt`; `--check` byte-verifies it and `results/BENCH_chaos.json` |
 //!
 //! `scripts/reproduce.sh` runs all of them and refreshes `results/`.
 //!
@@ -39,6 +39,18 @@ pub mod table4;
 
 use stamp_util::{AppParams, AppReport, Variant};
 use tm::{SystemKind, TmConfig};
+
+/// Where a re-run's rendering `got` first departs from the checked-in
+/// artifact `want`: the first differing line of each, numbered from 1,
+/// or a note that one ends before the other.
+pub fn first_difference(want: &str, got: &str) -> String {
+    want.lines()
+        .zip(got.lines())
+        .enumerate()
+        .find(|(_, (w, g))| w != g)
+        .map(|(i, (w, g))| format!("line {}:\n  artifact: {w}\n  now:      {g}", i + 1))
+        .unwrap_or_else(|| "files differ in length".to_string())
+}
 
 /// Run one application configuration on one TM configuration.
 pub fn run_params(params: &AppParams, cfg: TmConfig) -> AppReport {

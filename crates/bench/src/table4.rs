@@ -164,13 +164,7 @@ pub fn check_table4() -> Result<(), String> {
     if got == want {
         return Ok(());
     }
-    let diff = want
-        .lines()
-        .zip(got.lines())
-        .enumerate()
-        .find(|(_, (w, g))| w != g)
-        .map(|(i, (w, g))| format!("line {}:\n  artifact: {w}\n  now:      {g}", i + 1))
-        .unwrap_or_else(|| "files differ in length".to_string());
+    let diff = crate::first_difference(&want, &got);
     Err(format!(
         "results/table4.json diverged from a re-run ({diff})\n\
          If the engine change is intentional, regenerate with:\n\

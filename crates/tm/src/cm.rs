@@ -32,9 +32,8 @@
 //!
 //! All waiting a policy induces is charged in *simulated* cycles
 //! (backoff via `charge_bucket` so [`crate::prof`] books it to its
-//! Backoff bucket, serialization via
-//! [`crate::sim::SimMutex::acquire_until`] with a costed spin tick) —
-//! never host wall-clock sleeps — so `sim_cycles` remain meaningful
+//! Backoff bucket, serialization by a costed spin on the commit token)
+//! — never host wall-clock sleeps — so `sim_cycles` remain meaningful
 //! and deterministic.
 
 use std::cell::Cell;

@@ -51,7 +51,7 @@ use crate::prof::{ProfBucket, ProfReport, ProfShared, ProfThread, ProfThreadRepo
 use crate::sched::{Lease, SchedCounters, Scheduler};
 use crate::signature::Signature;
 use crate::sim::{SimBarrier, SimMutex, XorShift64, FLUSH_CYCLES};
-use crate::stats::{RunStats, ThreadStats};
+use crate::stats::RunStats;
 use crate::txn::TxnState;
 use crate::verify::{self, VerifyReport, VerifyState, VerifyTxn};
 
@@ -86,7 +86,8 @@ pub(crate) struct Global {
     /// Tid of the thread executing in irrevocable mode (the starvation
     /// watchdog's escalation path), or [`NO_PRIORITY`] when free. While
     /// held, other threads park at the top of `begin_attempt`, so the
-    /// holder runs serialized with in-place writes and no abort path.
+    /// holder runs serialized with in-place writes and no conflict
+    /// aborts.
     pub irrevocable: Cell<usize>,
     /// Monotonic transaction-timestamp source (eager-HTM stall policy's
     /// deadlock avoidance).
@@ -227,11 +228,11 @@ impl TmRuntime {
     ///
     /// # Panics
     ///
-    /// Re-raises the first panic of any body, after the other threads
-    /// have run as far as they can without it. Panics, naming each
-    /// thread's status, if no thread can run while some have not
-    /// finished (e.g. a body returned without reaching a barrier its
-    /// peers wait at).
+    /// Re-raises the first panic of any body at once: the run ends
+    /// there, and the other threads are unwound where they stand.
+    /// Panics, naming each thread's status, if no thread can run while
+    /// some have not finished (e.g. a body returned without reaching a
+    /// barrier its peers wait at).
     pub fn run<F>(&self, body: F) -> RunReport
     where
         F: Fn(&mut ThreadCtx),
@@ -240,7 +241,7 @@ impl TmRuntime {
         // independent across phases while reusing heap contents.
         let global = Rc::new(Global::new(self.config.clone(), self.heap.clone()));
         let n = self.config.threads;
-        type Collected = (ThreadStats, Option<ProfThreadReport>);
+        type Collected = (RunStats, Option<ProfThreadReport>);
         let collected: Vec<Cell<Option<Collected>>> = (0..n).map(|_| Cell::new(None)).collect();
         let start = Instant::now();
         // Declared after everything the fibers borrow, so an unwind out
@@ -259,7 +260,7 @@ impl TmRuntime {
                     body(&mut ctx);
                     ctx.publish();
                     ctx.global.scheduler.done(tid);
-                    ctx.stats.total_cycles = ctx.clock;
+                    ctx.stats.cycles_total = ctx.clock;
                     if let Some((accesses, misses)) = ctx.cache_stats() {
                         ctx.stats.mem_accesses = accesses;
                         ctx.stats.mem_misses = misses;
@@ -269,7 +270,6 @@ impl TmRuntime {
                 })
             })
             .collect();
-        let mut panic = None;
         let mut finished = 0;
         // Fiber 0 makes the first pick; from then on the turn holder runs.
         let mut next = Some(0);
@@ -277,16 +277,15 @@ impl TmRuntime {
             if let Some(outcome) = fibers[tid].resume() {
                 finished += 1;
                 if let Err(payload) = outcome {
-                    // The body panicked on its fiber: retire the tid so
-                    // the others keep running, and re-raise at the end.
-                    global.scheduler.done(tid);
-                    panic.get_or_insert(payload);
+                    // The body panicked on its fiber: the run ends here.
+                    // Whatever the dead thread held (a token, locks,
+                    // directory entries, signatures) could stall its
+                    // peers, so they are unwound rather than resumed.
+                    drop(fibers);
+                    std::panic::resume_unwind(payload);
                 }
             }
             next = global.scheduler.turn_holder();
-        }
-        if let Some(payload) = panic {
-            std::panic::resume_unwind(payload);
         }
         assert!(
             finished == n,
@@ -309,7 +308,7 @@ impl TmRuntime {
         for slot in collected {
             let (t, p) = slot.into_inner().expect("every fiber finished");
             stats.absorb(&t);
-            sim_cycles = sim_cycles.max(t.total_cycles);
+            sim_cycles = sim_cycles.max(t.cycles_total);
             thread_commits.push(t.commits);
             prof_threads.extend(p);
         }
@@ -364,10 +363,9 @@ pub struct ThreadCtx {
     lease: Lease,
     pub(crate) rng: XorShift64,
     pub(crate) cache: Option<CacheModel>,
-    pub(crate) stats: ThreadStats,
+    pub(crate) stats: RunStats,
     pub(crate) txn: TxnState,
     pub(crate) in_txn: bool,
-    pub(crate) has_priority: bool,
     /// This thread's contention-management policy (see [`crate::cm`]).
     pub(crate) cm: CmPolicy,
     /// The adaptive policy's abort EWMA in per-mille
@@ -381,9 +379,10 @@ pub struct ThreadCtx {
     /// Starvation-watchdog bounds, when armed (see
     /// [`crate::TmConfig::effective_watchdog`]).
     pub(crate) watchdog: Option<WatchdogConfig>,
-    /// True while this thread executes a transaction in irrevocable
-    /// mode: serialized behind the irrevocability gate and the commit
-    /// token, in-place writes, no abort path.
+    /// True from a starvation-watchdog trip until the transaction
+    /// commits: its attempts run in irrevocable mode, serialized behind
+    /// the irrevocability gate and the commit token, with in-place
+    /// writes and no conflict aborts (an explicit abort re-executes).
     pub(crate) irrevocable: bool,
     /// Per-attempt observation log for the `tm::verify` sanitizer
     /// (empty and untouched when verification is off).
@@ -425,10 +424,9 @@ impl ThreadCtx {
             lease: Lease::NONE,
             rng: XorShift64::new(seed),
             cache,
-            stats: ThreadStats::default(),
+            stats: RunStats::default(),
             txn: TxnState::default(),
             in_txn: false,
-            has_priority: false,
             cm,
             cm_ewma: 0,
             fault,

@@ -40,9 +40,9 @@ pub(crate) const FLUSH_CYCLES: u64 = 64;
 
 /// A mutex that spins in *simulated* time.
 ///
-/// Holders are expected to release quickly (commit sections); waiters call
-/// [`SimMutex::acquire_until`] with a closure that charges simulated
-/// cycles per failed attempt, which hands the turn to the holder.
+/// Holders are expected to release quickly (commit sections); waiters
+/// retry [`SimMutex::try_acquire`], charging simulated cycles per failed
+/// attempt, which hands the turn to the holder.
 pub struct SimMutex {
     locked: Cell<bool>,
 }
@@ -65,23 +65,6 @@ impl SimMutex {
     #[inline]
     pub fn try_acquire(&self) -> bool {
         !self.locked.replace(true)
-    }
-
-    /// Acquire, calling `spin_tick` once per failed attempt; the closure
-    /// charges simulated cycles and returns whether to keep waiting.
-    /// Returns true once acquired, false if `spin_tick` gave up.
-    ///
-    /// This is the substrate for contention-manager serialization
-    /// ([`crate::cm`]): the wait advances *simulated* time only, so a
-    /// serialized transaction's queueing delay shows up in `sim_cycles`
-    /// exactly like any other stall.
-    pub fn acquire_until(&self, mut spin_tick: impl FnMut() -> bool) -> bool {
-        while !self.try_acquire() {
-            if !spin_tick() {
-                return false;
-            }
-        }
-        true
     }
 
     /// Release the mutex.
@@ -201,25 +184,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sim_mutex_acquire_until_charges_and_gives_up() {
+    fn sim_mutex_is_held_until_released() {
         let m = SimMutex::new();
-        // Uncontended: acquired without a single tick.
-        let mut ticks = 0u32;
-        assert!(m.acquire_until(|| {
-            ticks += 1;
-            true
-        }));
-        assert_eq!(ticks, 0);
-        // Contended with a bounded wait: ticks accumulate (simulated
-        // cycles would be charged), then the waiter gives up.
-        let mut ticks = 0u32;
-        assert!(!m.acquire_until(|| {
-            ticks += 1;
-            ticks < 10
-        }));
-        assert_eq!(ticks, 10);
+        assert!(!m.is_locked());
+        assert!(m.try_acquire());
+        assert!(m.is_locked());
+        assert!(!m.try_acquire(), "a held mutex cannot be taken again");
         m.release();
-        assert!(m.acquire_until(|| false));
+        assert!(!m.is_locked());
+        assert!(m.try_acquire());
         m.release();
     }
 

@@ -107,10 +107,10 @@ impl SampledRecords {
     }
 }
 
-/// Per-thread running statistics, merged into a [`RunStats`] at the end
-/// of a run.
+/// Transactional statistics, kept per thread during a run and summed
+/// into one value per run by [`RunStats::absorb`].
 #[derive(Debug, Clone, Default)]
-pub struct ThreadStats {
+pub struct RunStats {
     /// Transaction attempts begun (every attempt either commits or
     /// aborts: `commits + aborts == attempts`, asserted on absorb).
     pub attempts: u64,
@@ -140,48 +140,14 @@ pub struct ThreadStats {
     /// Cycles spent between the first `begin` and the final `commit` of
     /// each transaction (includes aborted attempts and backoff).
     pub cycles_in_txn: u64,
-    /// Total cycles of the thread (its final simulated clock).
-    pub total_cycles: u64,
+    /// A thread's final simulated clock; for a run, the sum over its
+    /// threads.
+    pub cycles_total: u64,
     /// Modeled cache accesses (0 unless `cache_sim` is enabled).
     pub mem_accesses: u64,
     /// Modeled cache misses.
     pub mem_misses: u64,
     /// Sampled committed-transaction records.
-    pub records: SampledRecords,
-}
-
-/// Aggregated statistics of a complete run.
-#[derive(Debug, Clone, Default)]
-pub struct RunStats {
-    /// Transaction attempts across all threads.
-    pub attempts: u64,
-    /// Committed transactions across all threads.
-    pub commits: u64,
-    /// Aborted attempts across all threads.
-    pub aborts: u64,
-    /// Simulated backoff cycles across all threads.
-    pub backoff_cycles: u64,
-    /// Eager-HTM conflicts won by priority/karma arbitration.
-    pub priority_wins: u64,
-    /// Eager-HTM conflicts lost despite priority/karma arbitration.
-    pub priority_losses: u64,
-    /// Commits serialized by the contention manager.
-    pub serialized_commits: u64,
-    /// Aborts caused by injected spurious events, across all threads.
-    pub spurious_aborts: u64,
-    /// Commits completed in irrevocable mode, across all threads.
-    pub irrevocable_commits: u64,
-    /// Starvation-watchdog escalations, across all threads.
-    pub watchdog_trips: u64,
-    /// Sum of per-thread in-transaction cycles.
-    pub cycles_in_txn: u64,
-    /// Sum of per-thread total cycles.
-    pub cycles_total: u64,
-    /// Modeled cache accesses across threads (0 unless `cache_sim`).
-    pub mem_accesses: u64,
-    /// Modeled cache misses across threads.
-    pub mem_misses: u64,
-    /// Merged record sample.
     pub records: SampledRecords,
 }
 
@@ -195,7 +161,7 @@ impl RunStats {
     /// once. This pins down the abort bookkeeping the contention
     /// managers rely on (double-counting an abort would inflate every
     /// CM's view of contention).
-    pub fn absorb(&mut self, t: &ThreadStats) {
+    pub fn absorb(&mut self, t: &RunStats) {
         assert_eq!(
             t.commits + t.aborts,
             t.attempts,
@@ -215,7 +181,7 @@ impl RunStats {
         self.irrevocable_commits += t.irrevocable_commits;
         self.watchdog_trips += t.watchdog_trips;
         self.cycles_in_txn += t.cycles_in_txn;
-        self.cycles_total += t.total_cycles;
+        self.cycles_total += t.cycles_total;
         self.mem_accesses += t.mem_accesses;
         self.mem_misses += t.mem_misses;
         self.records.merge(&t.records);
@@ -384,12 +350,12 @@ mod tests {
     #[test]
     fn run_stats_ratios() {
         let mut rs = RunStats::default();
-        let mut t = ThreadStats {
+        let mut t = RunStats {
             attempts: 15,
             commits: 10,
             aborts: 5,
             cycles_in_txn: 600,
-            total_cycles: 1000,
+            cycles_total: 1000,
             ..Default::default()
         };
         for _ in 0..10 {
@@ -405,7 +371,7 @@ mod tests {
     #[test]
     fn absorb_sums_cm_counters() {
         let mut rs = RunStats::default();
-        let t = ThreadStats {
+        let t = RunStats {
             attempts: 7,
             commits: 4,
             aborts: 3,
@@ -436,7 +402,7 @@ mod tests {
         // Regression guard for the CM refactor: moving abort accounting
         // into CM callbacks must not double-count (or drop) an outcome.
         let mut rs = RunStats::default();
-        let t = ThreadStats {
+        let t = RunStats {
             attempts: 10,
             commits: 10,
             aborts: 5, // 10 + 5 != 10: an abort was double-counted

@@ -35,13 +35,11 @@ use crate::trace::TraceLevel;
 /// simulated cycles) for the holder to commit: a deterministic schedule
 /// that phase-locks stays locked, so the cycle must be broken by rule.
 pub(super) fn await_priority(ctx: &mut ThreadCtx) {
-    if !ctx.has_priority {
-        while {
-            let p = ctx.global.priority.get();
-            p != NO_PRIORITY && p != ctx.tid
-        } {
-            ctx.spin_charge(20);
-        }
+    while {
+        let p = ctx.global.priority.get();
+        p != NO_PRIORITY && p != ctx.tid
+    } {
+        ctx.spin_charge(20);
     }
 }
 
@@ -50,21 +48,22 @@ pub(super) fn await_priority(ctx: &mut ThreadCtx) {
 /// transaction on a design with a priority token (the eager HTM) is
 /// promoted so no other transaction can abort it, unless another
 /// thread holds the token.
-pub(super) fn take_priority(ctx: &mut ThreadCtx) {
-    if !ctx.has_priority && ctx.global.priority.get() == NO_PRIORITY {
+pub(super) fn take_priority(ctx: &ThreadCtx) {
+    if ctx.global.priority.get() == NO_PRIORITY {
         ctx.global.priority.set(ctx.tid);
-        ctx.has_priority = true;
     }
 }
 
 /// Drop the priority token on commit.
-pub(super) fn release_priority(ctx: &mut ThreadCtx) {
-    if ctx.has_priority {
-        if ctx.global.priority.get() == ctx.tid {
-            ctx.global.priority.set(NO_PRIORITY);
-        }
-        ctx.has_priority = false;
+pub(super) fn release_priority(ctx: &ThreadCtx) {
+    if holds_priority(ctx) {
+        ctx.global.priority.set(NO_PRIORITY);
     }
+}
+
+/// Whether this thread holds the priority token.
+fn holds_priority(ctx: &ThreadCtx) -> bool {
+    ctx.global.priority.get() == ctx.tid
 }
 
 // ----- barriers -----------------------------------------------------------
@@ -149,9 +148,8 @@ fn take_l1_slot(tx: &mut Txn<'_>, line: LineAddr) -> bool {
 /// does not fit in the L1 forces serialized execution (hold the commit
 /// token for the rest of the transaction).
 fn cache_insert_lazy(tx: &mut Txn<'_>, line: LineAddr, flags: u8) -> TxResult<()> {
-    if flags & RESIDENT == 0 && !take_l1_slot(tx, line) && !tx.ctx.txn.serialized {
+    if flags & RESIDENT == 0 && !take_l1_slot(tx, line) && !tx.ctx.txn.token {
         tx.acquire_commit_token()?;
-        tx.ctx.txn.serialized = true;
     }
     Ok(())
 }
@@ -187,25 +185,25 @@ fn tids(mut mask: u32) -> impl Iterator<Item = usize> {
 /// doomed and the requester waits (in simulated time) for them to
 /// vacate the line.
 fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()> {
+    let priority = holds_priority(tx.ctx);
     crate::trace!(
         TraceLevel::Conflicts,
-        "line={} tid={} victims={victims:#x} priority={}",
+        "line={} tid={} victims={victims:#x} priority={priority}",
         line.0,
         tx.ctx.tid,
-        tx.ctx.has_priority
     );
     let stall = tx.ctx.global.config.htm_conflict == HtmConflictPolicy::RequesterStalls;
     // Karma arbitration: a requester with strictly more karma than
     // every victim wins the conflict as if it held the priority token.
     // No other policy wins.
-    let cm_win = !tx.ctx.has_priority
+    let cm_win = !priority
         && matches!(tx.ctx.cm, CmPolicy::Karma { .. })
         && tx.ctx.global.cm_shared.outranks(tx.ctx.tid, victims);
-    if !tx.ctx.has_priority && !cm_win && !stall {
+    if !priority && !cm_win && !stall {
         tx.ctx.stats.priority_losses += 1;
         return tx.lose(line.0, tids(victims).next());
     }
-    if stall && !tx.ctx.has_priority && !cm_win {
+    if stall && !priority && !cm_win {
         // LogTM-style deadlock avoidance: only the *older*
         // transaction may stall; a younger requester aborts so the
         // wait-for graph stays acyclic.
@@ -215,7 +213,7 @@ fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()>
             return tx.lose(line.0, Some(v));
         }
     }
-    let doom = tx.ctx.has_priority || cm_win;
+    let doom = priority || cm_win;
     // Stalling requesters get a bounded wait (LogTM-style, with a
     // timeout in place of deadlock detection); priority holders doom
     // their victims and wait for them to vacate.
@@ -239,7 +237,7 @@ fn resolve_eager(tx: &mut Txn<'_>, line: LineAddr, victims: u32) -> TxResult<()>
             // A karma winner can itself be doomed by a token holder
             // or a concurrent karma winner: yield rather than stall
             // a conflict we have already lost.
-            if cm_win && !tx.ctx.has_priority && tx.is_doomed() {
+            if cm_win && tx.is_doomed() {
                 tx.ctx.stats.priority_losses += 1;
                 return tx.lose(line.0, None);
             }
@@ -279,7 +277,7 @@ fn check_overflow_sigs(tx: &mut Txn<'_>, line: LineAddr) -> TxResult<()> {
                 line.0,
                 tx.ctx.tid
             );
-            if !tx.ctx.has_priority {
+            if !holds_priority(tx.ctx) {
                 return tx.lose(line.0, Some(t));
             }
             // Priority: doom the filter's owner and wait for it to
@@ -322,17 +320,19 @@ pub(super) fn early_release(tx: &mut Txn<'_>, addr: WordAddr) {
 
 // ----- commit / rollback ---------------------------------------------------
 
+/// The lazy HTM's commit. It releases the commit token itself, however
+/// the attempt came to hold it (overflow, the contention manager, or
+/// this commit), before its fixed charge.
 pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     tx.check_doomed()?;
-    if tx.ctx.txn.write_map.is_empty() && !tx.ctx.txn.serialized {
+    if tx.ctx.txn.write_map.is_empty() && !tx.ctx.txn.token {
         tx.read_only_fence()?;
         release_directory_entries(tx);
         tx.ctx.charge_txn_fixed();
         return Ok(());
     }
-    if !tx.ctx.txn.serialized {
+    if !tx.ctx.txn.token {
         tx.acquire_commit_token()?;
-        tx.ctx.txn.serialized = true; // rollback must release it now
     }
     if tx.is_doomed() {
         return Err(Abort(()));
@@ -371,8 +371,7 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
         tx.ctx.charge_tm(per_line);
     }
     release_directory_entries(tx);
-    tx.ctx.global.commit_token.release();
-    tx.ctx.txn.serialized = false;
+    tx.ctx.release_token();
     tx.ctx.charge_txn_fixed();
     Ok(())
 }
@@ -407,14 +406,8 @@ fn release_directory_entries(tx: &mut Txn<'_>) {
     }
 }
 
-/// Leave the directory, clear the eager HTM's overflow filter, and
-/// release the commit token if overflow (or the contention manager)
-/// serialized this attempt.
+/// Leave the directory and clear the eager HTM's overflow filter.
 pub(super) fn rollback(tx: &mut Txn<'_>) {
     release_directory_entries(tx);
     clear_overflow_sig(tx.ctx);
-    if tx.ctx.txn.serialized {
-        tx.ctx.global.commit_token.release();
-        tx.ctx.txn.serialized = false;
-    }
 }

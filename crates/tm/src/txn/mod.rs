@@ -216,14 +216,13 @@ pub(crate) struct TxnState {
     pub n_written: u32,
     /// HTM capacity model: [`RESIDENT`] lines per L1 set.
     pub set_counts: FxHashMap<u64, u8>,
-    /// Lazy HTM: true once overflow forced this transaction to hold the
-    /// commit token (serialized execution).
-    pub serialized: bool,
-    /// Software systems: true while this attempt holds the commit token
-    /// because the contention manager serialized it (released centrally
-    /// in `try_commit`/`rollback`; the lazy HTM reuses `serialized`
-    /// instead so its existing token management applies).
-    pub cm_token: bool,
+    /// True while this thread holds the commit token: from begin when
+    /// GlobalLock, the contention manager or irrevocable mode
+    /// serializes the attempt, or from mid-attempt when the lazy HTM
+    /// overflows or a lazy system commits. Whoever releases the token
+    /// clears it. `reset` leaves it alone: an irrevocable transaction
+    /// keeps the token across the re-executions of an explicit abort.
+    pub token: bool,
     /// True when the contention manager serialized this attempt (for
     /// the `serialized_commits` statistic).
     pub cm_serialized_attempt: bool,
@@ -246,8 +245,6 @@ impl TxnState {
         self.n_read = 0;
         self.n_written = 0;
         self.set_counts.clear();
-        self.serialized = false;
-        self.cm_token = false;
         self.cm_serialized_attempt = false;
         self.app_cycles = 0;
         self.read_barriers = 0;
@@ -293,7 +290,9 @@ impl ThreadCtx {
     ///
     /// The body may run multiple times; it must be idempotent apart from
     /// its transactional effects (allocations it performs are leaked on
-    /// abort, as with the original STAMP `TM_MALLOC`).
+    /// abort, as with the original STAMP `TM_MALLOC`). Once an armed
+    /// starvation watchdog trips, the remaining attempts run in
+    /// irrevocable mode ([`Txn::is_irrevocable`]).
     ///
     /// # Panics
     ///
@@ -336,80 +335,104 @@ impl ThreadCtx {
                 None => {
                     retries = retries.saturating_add(1);
                     self.stats.aborts += 1;
-                    // An injected fault recorded itself at the barrier
-                    // that delivered it; the flag routes the abort to
-                    // the spurious accounting and tells the contention
-                    // manager not to learn contention from it.
-                    let spurious = self.fault.as_ref().is_some_and(|f| f.injected.is_some());
-                    if spurious {
-                        self.stats.spurious_aborts += 1;
-                    }
-                    self.after_abort(retries, spurious);
-                    if let Some(wd) = self.watchdog {
-                        if wd.should_escalate(retries, self.clock - start_clock) {
-                            // Starvation watchdog: this transaction has
-                            // crossed the consecutive-abort or invested-
-                            // cycle bound. Escalate to irrevocable mode
-                            // for a hard forward-progress guarantee.
-                            self.stats.watchdog_trips += 1;
-                            return self.run_irrevocable(&mut body, start_clock, retries);
-                        }
-                    }
+                    self.after_abort(retries, start_clock);
                 }
             }
         }
     }
 
+    /// Open an attempt. An irrevocable attempt takes the gate, quiesces
+    /// and takes the commit token (once per transaction: a re-execution
+    /// after an explicit abort still holds them), and skips what only a
+    /// speculative attempt needs: the priority wait, the active flag,
+    /// the system's admission, the TL2 read timestamp, the eager-HTM
+    /// timestamp and the fault stream.
     fn begin_attempt(&mut self) {
-        htm::await_priority(self);
-        self.start_attempt();
-        self.global.active[self.tid].set(true);
-        // Irrevocability gate: while a watchdog-escalated transaction
-        // holds it, stand down (clearing `active` so the holder's
-        // quiesce completes) and wait for it to commit. Nothing runs
-        // between the last check and setting `active` again, so no
-        // attempt ever runs concurrently with an irrevocable one. When
-        // the gate is free — every run without fault injection — this
-        // is a single uncharged load.
-        if self.global.irrevocable.get() != NO_PRIORITY {
-            self.global.active[self.tid].set(false);
-            while self.global.irrevocable.get() != NO_PRIORITY {
-                self.spin_charge(20);
+        if self.irrevocable {
+            if !self.txn.token {
+                self.enter_irrevocable();
             }
+            self.start_attempt();
+        } else {
+            htm::await_priority(self);
+            self.start_attempt();
             self.global.active[self.tid].set(true);
-        }
-        match self.global.config.system {
-            SystemKind::Sequential => {}
-            SystemKind::GlobalLock => {
-                // Coarse-grain lock: serialize the whole transaction.
-                while !self.global.commit_token.try_acquire() {
-                    self.spin_charge(10);
+            // Irrevocability gate: while a watchdog-escalated transaction
+            // holds it, stand down (clearing `active` so the holder's
+            // quiesce completes) and wait for it to commit. Nothing runs
+            // between the last check and setting `active` again, so no
+            // attempt ever runs concurrently with an irrevocable one.
+            // When the gate is free — every run without fault injection
+            // — this is a single uncharged load.
+            if self.global.irrevocable.get() != NO_PRIORITY {
+                self.global.active[self.tid].set(false);
+                while self.global.irrevocable.get() != NO_PRIORITY {
+                    self.spin_charge(20);
                 }
+                self.global.active[self.tid].set(true);
             }
-            // A CM-serialized lazy-HTM attempt reuses the overflow-
-            // serialization path: its commit and rollback already
-            // release the token when `serialized` is set.
-            SystemKind::LazyHtm => self.txn.serialized = self.cm_admission(),
-            SystemKind::EagerHtm
-            | SystemKind::LazyStm
-            | SystemKind::EagerStm
-            | SystemKind::LazyHybrid
-            | SystemKind::EagerHybrid => self.txn.cm_token = self.cm_admission(),
-        }
-        self.txn.rv = self.global.clock.read();
-        let ts = self.global.ts_counter.get();
-        self.global.ts_counter.set(ts + 1);
-        self.global.txn_ts[self.tid].set(ts);
-        // Derive this attempt's fault stream last, so gate/queue waits
-        // above don't count toward the interrupt hazard's elapsed time.
-        let (tid, attempt, clock) = (self.tid, self.stats.attempts, self.clock);
-        if let Some(f) = &mut self.fault {
-            f.begin_attempt(tid, attempt, clock);
+            match self.global.config.system {
+                SystemKind::Sequential => {}
+                // Coarse-grain lock: serialize the whole transaction.
+                SystemKind::GlobalLock => self.take_token(),
+                SystemKind::LazyHtm
+                | SystemKind::EagerHtm
+                | SystemKind::LazyStm
+                | SystemKind::EagerStm
+                | SystemKind::LazyHybrid
+                | SystemKind::EagerHybrid => self.cm_admission(),
+            }
+            self.txn.rv = self.global.clock.read();
+            let ts = self.global.ts_counter.get();
+            self.global.ts_counter.set(ts + 1);
+            self.global.txn_ts[self.tid].set(ts);
+            // Derive this attempt's fault stream last, so gate/queue
+            // waits above don't count toward the interrupt hazard's
+            // elapsed time.
+            let (tid, attempt, clock) = (self.tid, self.stats.attempts, self.clock);
+            if let Some(f) = &mut self.fault {
+                f.begin_attempt(tid, attempt, clock);
+            }
         }
         self.charge_txn_fixed();
     }
 
-    /// Open an attempt, normal or irrevocable: statistics, the
+    /// Enter irrevocable mode, in a deadlock-safe order: (1) take the
+    /// gate — one escalated transaction at a time, and new attempts now
+    /// park at the top of `begin_attempt`; (2) quiesce on the `active`
+    /// flags *without* holding the commit token, because an in-flight
+    /// lazy committer needs the token to finish its attempt; (3) take
+    /// the commit token, so that even a thread mid-attempt when the
+    /// gate closed cannot slip a commit (or a read-only fence) under
+    /// the in-place writes. `finish_commit` opens the gate again.
+    fn enter_irrevocable(&mut self) {
+        while self.global.irrevocable.get() != NO_PRIORITY {
+            self.spin_charge(20);
+        }
+        self.global.irrevocable.set(self.tid);
+        let n = self.global.config.threads;
+        while (0..n).any(|t| t != self.tid && self.global.active[t].get()) {
+            self.spin_charge(20);
+        }
+        self.take_token();
+    }
+
+    /// Spin (in simulated time, 10 cycles per probe) until this thread
+    /// holds the commit token.
+    fn take_token(&mut self) {
+        while !self.global.commit_token.try_acquire() {
+            self.spin_charge(10);
+        }
+        self.txn.token = true;
+    }
+
+    /// Release the commit token this thread holds.
+    fn release_token(&mut self) {
+        self.global.commit_token.release();
+        self.txn.token = false;
+    }
+
+    /// Open an attempt, speculative or irrevocable: statistics, the
     /// sanitizer and profiler hooks, and a cleared doom flag.
     fn start_attempt(&mut self) {
         self.in_txn = true;
@@ -427,21 +450,13 @@ impl ThreadCtx {
 
     /// Contention-manager admission control: if the policy serializes
     /// this attempt, take the commit token for the attempt's whole
-    /// duration and return true. Runs before the TL2 read-timestamp is
-    /// taken so a long queue wait still yields a fresh snapshot.
-    fn cm_admission(&mut self) -> bool {
-        if !self.cm.serializes(self.cm_ewma) {
-            return false;
+    /// duration. Runs before the TL2 read-timestamp is taken so a long
+    /// queue wait still yields a fresh snapshot.
+    fn cm_admission(&mut self) {
+        if self.cm.serializes(self.cm_ewma) {
+            self.take_token();
+            self.txn.cm_serialized_attempt = true;
         }
-        // The wait advances simulated time only (10 cycles per probe,
-        // like the GlobalLock spin), never host wall-clock sleeps.
-        let global = self.global.clone();
-        global.commit_token.acquire_until(|| {
-            self.spin_charge(10);
-            true
-        });
-        self.txn.cm_serialized_attempt = true;
-        true
     }
 
     fn finish_commit(&mut self, start_clock: u64, retries: u32) {
@@ -458,6 +473,12 @@ impl ThreadCtx {
         if self.txn.cm_serialized_attempt {
             self.stats.serialized_commits += 1;
         }
+        if self.irrevocable {
+            // `try_commit` released the token; the gate goes last.
+            self.irrevocable = false;
+            self.global.irrevocable.set(NO_PRIORITY);
+            self.stats.irrevocable_commits += 1;
+        }
         self.stats.commits += 1;
         self.stats.cycles_in_txn += self.clock - start_clock;
         let rec = TxnRecord {
@@ -471,11 +492,28 @@ impl ThreadCtx {
         self.stats.records.push(rec);
     }
 
-    fn after_abort(&mut self, retries: u32, spurious: bool) {
+    /// Bookkeeping after an aborted attempt of a transaction that began
+    /// at `start_clock` and has now aborted `retries` times: the fixed
+    /// abort cost, then, unless the attempt was irrevocable (an explicit
+    /// abort, which simply re-executes), the spurious-abort count, the
+    /// contention manager's backoff, the eager HTM's promotion and the
+    /// starvation watchdog.
+    fn after_abort(&mut self, retries: u32, start_clock: u64) {
         // The fixed abort cost belongs to the attempt that just died,
         // not to (committed-attempt) overhead.
         let fixed = self.global.config.cost.abort_fixed;
         self.charge_bucket(fixed, ProfBucket::Wasted);
+        if self.irrevocable {
+            return;
+        }
+        // An injected fault recorded itself at the barrier that
+        // delivered it; the flag routes the abort to the spurious
+        // accounting and tells the contention manager not to learn
+        // contention from it.
+        let spurious = self.fault.as_ref().is_some_and(|f| f.injected.is_some());
+        if spurious {
+            self.stats.spurious_aborts += 1;
+        }
         let (cm, tid, shared) = (self.cm, self.tid, &self.global.cm_shared);
         let backoff = match cm {
             CmPolicy::Karma { .. } => {
@@ -518,6 +556,22 @@ impl ThreadCtx {
         if retries >= HTM_PRIORITY_AFTER && self.global.config.system.props().priority_token {
             htm::take_priority(self);
         }
+        if let Some(wd) = self.watchdog {
+            if wd.should_escalate(retries, self.clock - start_clock) {
+                // Starvation watchdog: this transaction has crossed the
+                // consecutive-abort or invested-cycle bound. Its next
+                // attempt runs irrevocably, a hard forward-progress
+                // guarantee.
+                self.stats.watchdog_trips += 1;
+                crate::trace!(
+                    TraceLevel::Faults,
+                    "watchdog tid={} retries={retries} invested={} -> irrevocable",
+                    self.tid,
+                    self.clock - start_clock
+                );
+                self.irrevocable = true;
+            }
+        }
     }
 
     /// Restore the heap from the undo log, newest first, and charge the
@@ -536,115 +590,6 @@ impl ThreadCtx {
             if undo_len > 0 {
                 let per = self.global.config.cost.abort_per_undo;
                 self.charge_tm(per * undo_len as u64);
-            }
-        }
-    }
-
-    /// Watchdog escalation: execute `body` to completion in irrevocable
-    /// mode — serialized behind the irrevocability gate and the global
-    /// commit token, with in-place writes and no conflict-abort path.
-    /// This is the engine's hard forward-progress guarantee: whatever
-    /// the fault and conflict schedule, an escalated transaction
-    /// commits (explicit application aborts re-execute serially, which
-    /// converges because no other thread changes data underneath).
-    ///
-    /// Deadlock-safe ordering: (1) take the gate — new attempts now
-    /// park at the top of `begin_attempt`; (2) quiesce on the `active`
-    /// flags *without* holding the commit token, because an in-flight
-    /// lazy committer needs the token to finish its attempt; (3) take
-    /// the commit token. A drop guard releases token and gate even if
-    /// the body panics, so the other threads' park loops always exit
-    /// and the panic propagates as a run failure instead of a hang.
-    fn run_irrevocable<R>(
-        &mut self,
-        body: &mut impl FnMut(&mut Txn<'_>) -> TxResult<R>,
-        start_clock: u64,
-        mut retries: u32,
-    ) -> R {
-        crate::trace!(
-            TraceLevel::Faults,
-            "watchdog tid={} retries={retries} invested={} -> irrevocable",
-            self.tid,
-            self.clock - start_clock
-        );
-        // 1. The irrevocability gate (one escalated transaction at a
-        // time; losers wait their turn here).
-        while self.global.irrevocable.get() != NO_PRIORITY {
-            self.spin_charge(20);
-        }
-        self.global.irrevocable.set(self.tid);
-        struct IrrevGuard {
-            global: std::rc::Rc<crate::runtime::Global>,
-            tid: usize,
-            token_held: bool,
-        }
-        impl Drop for IrrevGuard {
-            fn drop(&mut self) {
-                // Token before gate: a thread released by the gate must
-                // find the token in a consistent state.
-                if self.token_held {
-                    self.global.commit_token.release();
-                }
-                if self.global.irrevocable.get() == self.tid {
-                    self.global.irrevocable.set(NO_PRIORITY);
-                }
-            }
-        }
-        let mut guard = IrrevGuard {
-            global: self.global.clone(),
-            tid: self.tid,
-            token_held: false,
-        };
-        // 2. Quiesce: wait for every other thread's in-flight attempt
-        // to resolve. New attempts park at the gate, so once `active`
-        // drains, this thread is the only one touching shared data.
-        let n = self.global.config.threads;
-        while (0..n).any(|t| t != self.tid && self.global.active[t].get()) {
-            self.spin_charge(20);
-        }
-        // 3. The commit token, for the whole irrevocable execution:
-        // read-only fences and lazy commits spin on it, so even a
-        // thread mid-attempt when the gate closed cannot slip a commit
-        // under our in-place writes.
-        while !self.global.commit_token.try_acquire() {
-            self.spin_charge(10);
-        }
-        guard.token_held = true;
-        loop {
-            // An irrevocable attempt is a real attempt: it enters the
-            // statistics, the profiler, and the sanitizer's
-            // serialization graph exactly like a normal one.
-            self.irrevocable = true;
-            self.start_attempt();
-            self.charge_txn_fixed();
-            let result = {
-                let mut txn = Txn { ctx: &mut *self };
-                body(&mut txn)
-            };
-            match result {
-                Ok(value) => {
-                    self.charge_txn_fixed(); // commit tail, as in normal commits
-                    self.txn.undo.clear();
-                    self.in_txn = false;
-                    self.prof_end_attempt(true);
-                    self.irrevocable = false;
-                    self.stats.irrevocable_commits += 1;
-                    self.finish_commit(start_clock, retries);
-                    drop(guard);
-                    return value;
-                }
-                Err(Abort(())) => {
-                    // Explicit application abort (labyrinth's
-                    // TM_RESTART): roll back the in-place writes and
-                    // re-execute, still irrevocable.
-                    self.undo_attempt();
-                    self.in_txn = false;
-                    self.prof_end_attempt(false);
-                    self.charge_bucket(self.global.config.cost.abort_fixed, ProfBucket::Wasted);
-                    self.irrevocable = false;
-                    retries = retries.saturating_add(1);
-                    self.stats.aborts += 1;
-                }
             }
         }
     }
@@ -907,7 +852,7 @@ impl Txn<'_> {
 
     /// Irrevocable read barrier: a direct load with the system's read
     /// barrier cost. No conflict detection — the gate and quiesce in
-    /// `run_irrevocable` guarantee exclusive execution.
+    /// `begin_attempt` guarantee exclusive execution.
     fn irrev_read(&mut self, addr: WordAddr) -> u64 {
         let barrier = self.ctx.global.config.system.props().read_barrier;
         self.ctx.charge_tm(barrier);
@@ -978,6 +923,7 @@ impl Txn<'_> {
             }
             self.ctx.spin_charge(10);
         }
+        self.ctx.txn.token = true;
         Ok(())
     }
 
@@ -1022,47 +968,50 @@ impl Txn<'_> {
     // ----- commit / rollback ---------------------------------------------
 
     pub(crate) fn try_commit(&mut self) -> TxResult<()> {
-        let result = match self.ctx.global.config.system {
-            SystemKind::Sequential => Ok(()),
-            SystemKind::GlobalLock => {
-                self.ctx.global.commit_token.release();
-                Ok(())
+        if self.ctx.irrevocable {
+            // Nothing can conflict with an irrevocable attempt: its
+            // writes are in place, and it pays the commit's fixed cost.
+            self.ctx.charge_txn_fixed();
+            self.ctx.txn.undo.clear();
+        } else {
+            let result = match self.ctx.global.config.system {
+                SystemKind::Sequential | SystemKind::GlobalLock => Ok(()),
+                SystemKind::LazyStm => tl2::lazy_commit(self),
+                SystemKind::EagerStm => tl2::eager_commit(self),
+                SystemKind::LazyHtm => htm::lazy_commit(self),
+                SystemKind::EagerHtm => htm::eager_commit(self),
+                SystemKind::LazyHybrid => sigtm::lazy_commit(self),
+                SystemKind::EagerHybrid => sigtm::eager_commit(self),
+            };
+            if result.is_err() {
+                self.rollback();
+                return result;
             }
-            SystemKind::LazyStm => tl2::lazy_commit(self),
-            SystemKind::EagerStm => tl2::eager_commit(self),
-            SystemKind::LazyHtm => htm::lazy_commit(self),
-            SystemKind::EagerHtm => htm::eager_commit(self),
-            SystemKind::LazyHybrid => sigtm::lazy_commit(self),
-            SystemKind::EagerHybrid => sigtm::eager_commit(self),
-        };
-        if result.is_err() {
-            self.rollback();
-            return result;
-        }
-        // Injected delayed commit: extra cycles modeling commit
-        // arbitration / coherence-burst stalls, charged as TM overhead of
-        // the committing attempt.
-        let stall = self.ctx.fault.as_mut().map_or(0, |f| {
-            if f.stream.roll(f.cfg.stall_permille) {
-                f.cfg.stall_cycles
-            } else {
-                0
+            // Injected delayed commit: extra cycles modeling commit
+            // arbitration / coherence-burst stalls, charged as TM
+            // overhead of the committing attempt.
+            let stall = self.ctx.fault.as_mut().map_or(0, |f| {
+                if f.stream.roll(f.cfg.stall_permille) {
+                    f.cfg.stall_cycles
+                } else {
+                    0
+                }
+            });
+            if stall > 0 {
+                crate::trace!(
+                    TraceLevel::Faults,
+                    "inject kind={} tid={} cycles={stall}",
+                    FaultKind::CommitStall,
+                    self.ctx.tid
+                );
+                self.ctx.charge_tm(stall);
             }
-        });
-        if stall > 0 {
-            crate::trace!(
-                TraceLevel::Faults,
-                "inject kind={} tid={} cycles={stall}",
-                FaultKind::CommitStall,
-                self.ctx.tid
-            );
-            self.ctx.charge_tm(stall);
         }
-        if self.ctx.txn.cm_token {
-            // CM-serialized attempt: the token was held since begin;
-            // release it only now that the commit's effects are visible.
-            self.ctx.global.commit_token.release();
-            self.ctx.txn.cm_token = false;
+        if self.ctx.txn.token {
+            // Held since begin: release it only now that the commit's
+            // effects are visible. (The lazy commits release a token
+            // they took themselves.)
+            self.ctx.release_token();
         }
         Ok(())
     }
@@ -1070,29 +1019,31 @@ impl Txn<'_> {
     /// Undo all side effects of the current attempt. Called on every
     /// abort path; also used by `try_commit` on failure. Idempotent.
     pub(crate) fn rollback(&mut self) {
-        // 1. Restore memory (eager systems).
+        // 1. Restore memory (eager systems, and irrevocable attempts).
         self.ctx.undo_attempt();
+        if self.ctx.irrevocable {
+            // An explicit abort: the re-execution keeps the gate and
+            // the token, and the attempt registered no conflict state.
+            return;
+        }
         // 2. Release the system's locks, coherence or signature state.
         match self.ctx.global.config.system {
             SystemKind::Sequential => {}
+            // Writes were applied in place under the lock; there is no
+            // log to roll back. Explicit aborts are a programming error
+            // in lock-based execution.
             SystemKind::GlobalLock => {
-                // Writes were applied in place under the lock; there is
-                // no log to roll back. Explicit aborts are a programming
-                // error in lock-based execution.
-                self.ctx.global.commit_token.release();
-                panic!("explicit transaction abort under GlobalLock leaves partial writes");
+                panic!("explicit transaction abort under GlobalLock leaves partial writes")
             }
             SystemKind::LazyStm | SystemKind::EagerStm => tl2::rollback(self),
             SystemKind::LazyHtm | SystemKind::EagerHtm => htm::rollback(self),
             SystemKind::LazyHybrid | SystemKind::EagerHybrid => sigtm::retire(self),
         }
-        // 3. Release the CM serialization token (held since begin when
-        // the contention manager serialized this attempt). After the
-        // cleanup above, so no successor observes this attempt's stale
-        // conflict state.
-        if self.ctx.txn.cm_token {
-            self.ctx.global.commit_token.release();
-            self.ctx.txn.cm_token = false;
+        // 3. Release the commit token, if the attempt holds it. After
+        // the cleanup above, so no successor observes this attempt's
+        // stale conflict state.
+        if self.ctx.txn.token {
+            self.ctx.release_token();
         }
         self.ctx.global.active[self.ctx.tid].set(false);
     }
@@ -1169,7 +1120,7 @@ mod tests {
                     for _ in 0..2 {
                         let mut attempt = 0u32;
                         ctx.atomic(|txn| {
-                            if txn.ctx.has_priority {
+                            if txn.ctx.global.priority.get() == txn.tid() {
                                 first.set(Some(first.get().map_or(attempt, |f| f.min(attempt))));
                             }
                             attempt += 1;

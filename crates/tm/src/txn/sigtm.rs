@@ -114,23 +114,21 @@ pub(super) fn retire(tx: &Txn<'_>) {
 pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     tx.check_doomed()?;
     // A CM-serialized attempt already holds the commit token: the
-    // fence/acquire below would self-deadlock, and the token is
-    // released centrally in `try_commit`/`rollback` instead.
-    let cm_held = tx.ctx.txn.cm_token;
-    if tx.ctx.txn.write_map.is_empty() && !cm_held {
+    // fence/acquire below would self-deadlock, and `try_commit`
+    // releases that token after the commit stall. A token taken here
+    // is released here, before the fixed charge.
+    let held = tx.ctx.txn.token;
+    if tx.ctx.txn.write_map.is_empty() && !held {
         tx.read_only_fence()?;
         retire(tx);
         tx.ctx.charge_txn_fixed();
         return Ok(());
     }
-    if !cm_held {
+    if !held {
         tx.acquire_commit_token()?;
     }
     if tx.is_doomed() {
-        if !cm_held {
-            tx.ctx.global.commit_token.release();
-        }
-        return Err(Abort(()));
+        return Err(Abort(())); // the rollback releases the token
     }
     // The written lines, taken from the redo log, which is smaller to
     // walk than the line table when the reads outnumber the writes.
@@ -148,8 +146,8 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     // Retire *before* releasing the token: committed lines no longer
     // conflict with anyone.
     retire(tx);
-    if !cm_held {
-        tx.ctx.global.commit_token.release();
+    if !held {
+        tx.ctx.release_token();
     }
     tx.ctx.charge_txn_fixed();
     Ok(())

@@ -227,12 +227,11 @@ fn spurious_aborts_leave_conflict_table_empty() {
     prof.check().expect("bucket invariant");
 }
 
-/// Poison path: a body that panics while irrevocable must still release
-/// the commit token and the irrevocability gate (via the drop guard),
-/// so the other threads finish, the scope joins, and the panic surfaces
-/// as a run failure instead of a deadlock.
+/// Poison path: a body that panics while irrevocable, holding the
+/// irrevocability gate and the commit token, ends the run with its
+/// panic instead of a deadlock, and leaves nothing held behind.
 #[test]
-fn panic_in_irrevocable_mode_releases_gate_and_token() {
+fn panic_in_irrevocable_mode_ends_the_run() {
     let fault = FaultConfig {
         seed: 1,
         capacity_permille: 1000,

@@ -4,11 +4,10 @@
 //! on a helper thread behind a timeout.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::time::Duration;
 
-use tm::{SystemKind, TmConfig, TmRuntime};
+use tm::{CmPolicy, SystemKind, TmConfig, TmRuntime};
 
 /// How long a phase may take before the test calls it hung.
 const HANG: Duration = Duration::from_secs(5);
@@ -45,11 +44,11 @@ fn barrier_synchronizes_clocks_every_generation() {
     assert_eq!(report.sim_cycles, 3 * 600);
 }
 
+/// A body panic ends the run at once and reaches the caller; nothing
+/// the run held outlives it, so a fresh run on a new runtime works.
 #[test]
-fn body_panic_reaches_the_caller_after_the_others_finish() {
-    let finished = std::sync::Arc::new(AtomicUsize::new(0));
-    let seen = finished.clone();
-    let message = panic_message_of(move || {
+fn body_panic_ends_the_run_and_a_fresh_run_works() {
+    let message = panic_message_of(|| {
         let rt = TmRuntime::new(TmConfig::new(SystemKind::EagerStm, 4));
         let counter = rt.heap().alloc_cell(0u64);
         rt.run(|ctx| {
@@ -62,11 +61,52 @@ fn body_panic_reaches_the_caller_after_the_others_finish() {
             if ctx.tid() == 1 {
                 panic!("tid 1 gives up");
             }
-            seen.fetch_add(1, Ordering::Relaxed);
         });
     });
     assert_eq!(message.as_deref(), Some("tid 1 gives up"));
-    assert_eq!(finished.load(Ordering::Relaxed), 3);
+    let rt = TmRuntime::new(TmConfig::new(SystemKind::EagerStm, 4));
+    let counter = rt.heap().alloc_cell(0u64);
+    let report = rt.run(|ctx| {
+        for _ in 0..50 {
+            ctx.atomic(|txn| {
+                let v = txn.read(&counter)?;
+                txn.write(&counter, v + 1)
+            });
+        }
+    });
+    assert_eq!(report.stats.commits, 200);
+    assert_eq!(rt.heap().load_cell(&counter), 200);
+}
+
+/// A body that panics while its transaction holds the eager HTM's
+/// priority token: its peers wait for that token before each attempt,
+/// so the run must end with the panic rather than resume them.
+#[test]
+fn body_panic_while_holding_the_priority_token_reaches_the_caller() {
+    let message = panic_message_of(|| {
+        let config = TmConfig::new(SystemKind::EagerHtm, 4)
+            .quantum(100)
+            .cm(CmPolicy::Immediate);
+        let rt = TmRuntime::new(config);
+        let hot = rt.heap().alloc_cell(0u64);
+        rt.run(|ctx| {
+            for _ in 0..4 {
+                let mut calls = 0;
+                ctx.atomic(|txn| {
+                    calls += 1;
+                    // Only a transaction promoted after 32 aborts runs
+                    // its body this often.
+                    if calls == 34 {
+                        panic!("the promoted body fails");
+                    }
+                    let v = txn.read(&hot)?;
+                    txn.work(2000);
+                    txn.write(&hot, v + 1)
+                });
+            }
+        });
+    });
+    assert_eq!(message.as_deref(), Some("the promoted body fails"));
 }
 
 #[test]

@@ -37,6 +37,9 @@ TM_CM=karma TM_FAULT=seed=3,intr=5 cargo run -q --release -p bench --bin schedfu
 echo "==> chaos --smoke"
 cargo run -q --release -p bench --bin chaos -- --smoke
 
+echo "==> chaos --check (full sweep byte-identical to results/chaos.txt and results/BENCH_chaos.json)"
+cargo run -q --release -p bench --bin chaos -- --check
+
 echo "==> table4 --smoke"
 cargo run -q --release -p bench --bin table4 -- --smoke
 
