@@ -17,8 +17,8 @@
 
 use std::path::PathBuf;
 
+use bench::checked_run;
 use bench::json::JsonSink;
-use bench::run_variant;
 use stamp_util::driver::tm_config;
 use tm::{CmPolicy, SystemKind};
 
@@ -65,10 +65,10 @@ fn main() {
         for policy in CmPolicy::ALL {
             for &t in &threads {
                 let cfg = tm_config(&f, sys, t).cm(policy);
-                let rep = run_variant(v, scale, cfg);
+                let rep = checked_run(v, scale, cfg);
                 let s = &rep.run.stats;
                 println!(
-                    "{:<14} {:<12} {:<12} {:>3} {:>14} {:>9.2} {:>12} {:>8} {:>7} {:>7} | {}",
+                    "{:<14} {:<12} {:<12} {:>3} {:>14} {:>9.2} {:>12} {:>8} {:>7} {:>7} | OK",
                     v.name,
                     sys.label(),
                     policy.label(),
@@ -79,14 +79,6 @@ fn main() {
                     s.serialized_commits,
                     s.priority_wins,
                     s.priority_losses,
-                    if rep.verified { "OK" } else { "FAILED" },
-                );
-                assert!(
-                    rep.verified,
-                    "{} under {} with {}",
-                    v.name,
-                    sys.label(),
-                    policy.label()
                 );
                 if json_path.is_some() {
                     sink.push(

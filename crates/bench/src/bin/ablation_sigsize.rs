@@ -4,7 +4,7 @@
 //! more false conflicts — the same mechanism that hurts the eager HTM
 //! when it overflows into its Bloom filter.
 
-use bench::run_variant;
+use bench::checked_run;
 use stamp_util::driver::tm_config;
 use tm::SystemKind;
 
@@ -24,8 +24,7 @@ fn main() {
         for sys in [SystemKind::LazyHybrid, SystemKind::EagerHybrid] {
             print!("{:<15} {:<13}", v.name, sys.label());
             for s in sizes {
-                let rep = run_variant(v, scale, tm_config(&f, sys, threads).signature_bits(s));
-                assert!(rep.verified, "{} under {sys} @{s}b", v.name);
+                let rep = checked_run(v, scale, tm_config(&f, sys, threads).signature_bits(s));
                 print!(
                     "{:>16}",
                     format!(

@@ -33,10 +33,10 @@
 //! itself; only `--cm`, `--prof` and `--trace` (or their `TM_*`
 //! variables) reach it.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use bench::json::{report_row, JsonSink};
-use bench::run_variant;
+use bench::{artifact, checked_run, Fingerprint};
 use stamp_util::driver::tm_config;
 use stamp_util::{AppReport, Flags, Variant};
 use tm::{FaultConfig, SchedMode, SystemKind, WatchdogConfig};
@@ -89,72 +89,6 @@ fn seed_pairs(n: u64) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Everything a replay must reproduce bit for bit.
-#[allow(clippy::type_complexity)]
-fn stats_key(rep: &AppReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, Vec<u64>, bool) {
-    let s = &rep.run.stats;
-    (
-        rep.run.sim_cycles,
-        s.commits,
-        s.aborts,
-        s.attempts,
-        s.backoff_cycles,
-        s.spurious_aborts,
-        s.irrevocable_commits,
-        s.watchdog_trips,
-        rep.run.thread_commits.clone(),
-        rep.verified,
-    )
-}
-
-/// One faulted run; panics with an exact repro line if any robustness
-/// invariant fails.
-fn run_one(
-    f: &Flags,
-    v: &Variant,
-    sys: SystemKind,
-    threads: usize,
-    scale: u32,
-    fault: FaultConfig,
-    sched_seed: u64,
-) -> AppReport {
-    let cfg = tm_config(f, sys, threads)
-        .verify(true)
-        .sched(SchedMode::MinClock)
-        .sched_seed(sched_seed)
-        .fault(fault)
-        .watchdog(WATCHDOG);
-    let rep = run_variant(v, scale, cfg);
-    let repro = format!(
-        "repro: {} under {} threads={threads} scale={scale} \
-         TM_SCHED_SEED={sched_seed} TM_FAULT={} TM_WATCHDOG=aborts={},cycles={}",
-        v.name,
-        sys.label(),
-        fault.spec(),
-        WATCHDOG.max_consecutive_aborts,
-        WATCHDOG.max_invested_cycles,
-    );
-    let verify = rep.run.verify.as_ref().expect("verify enabled");
-    assert!(
-        verify.is_clean(),
-        "serializability violation under faults!\n{verify}\n{repro}"
-    );
-    assert!(
-        rep.verified,
-        "app verification failed under faults\n{repro}"
-    );
-    let s = &rep.run.stats;
-    assert_eq!(
-        s.commits + s.aborts,
-        s.attempts,
-        "attempt ledger does not balance\n{repro}"
-    );
-    for (tid, &c) in rep.run.thread_commits.iter().enumerate() {
-        assert!(c > 0, "liveness: thread {tid} starved (0 commits)\n{repro}");
-    }
-    rep
-}
-
 /// Aggregates for one (rate, system, threads) cell of the curve.
 #[derive(Default)]
 struct Cell {
@@ -163,31 +97,6 @@ struct Cell {
     spurious: u64,
     irrevocable: u64,
     trips: u64,
-}
-
-fn results_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results")
-}
-
-/// Whether the committed `results/<name>` equals this re-run's `got`;
-/// prints the first differing row when it does not.
-fn matches_artifact(name: &str, got: &str) -> bool {
-    let path = results_dir().join(name);
-    match std::fs::read_to_string(&path) {
-        Ok(want) if want == got => true,
-        Ok(want) => {
-            let diff = bench::first_difference(&want, got);
-            eprintln!(
-                "chaos --check: {} diverged from a re-run ({diff})",
-                path.display()
-            );
-            false
-        }
-        Err(e) => {
-            eprintln!("chaos --check: {}: {e}", path.display());
-            false
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -231,19 +140,21 @@ fn sweep(
             for &t in threads {
                 // Fault-free baseline at the first scheduler seed: the
                 // zero-cost-when-off anchor of the curve.
-                let base = run_variant(
-                    v,
-                    scale,
+                let pinned = |ss| {
                     tm_config(f, sys, t)
                         .sched(SchedMode::MinClock)
-                        .sched_seed(pairs[0].0),
-                );
-                assert!(base.verified, "baseline {} failed", sys.label());
+                        .sched_seed(ss)
+                };
+                let base = checked_run(v, scale, pinned(pairs[0].0));
+                // One faulted run: sanitizer on, the sweep's watchdog.
+                let faulted = |fs, ss| {
+                    let cfg = pinned(ss).verify(true).watchdog(WATCHDOG);
+                    checked_run(v, scale, cfg.fault(rate.cfg.with_seed(fs)))
+                };
                 let mut cell = Cell::default();
                 let mut first: Option<AppReport> = None;
                 for &(ss, fs) in pairs {
-                    let fc = rate.cfg.with_seed(fs);
-                    let rep = run_one(f, v, sys, t, scale, fc, ss);
+                    let rep = faulted(fs, ss);
                     let s = &rep.run.stats;
                     cell.runs += 1;
                     cell.cycles += rep.run.sim_cycles;
@@ -253,7 +164,7 @@ fn sweep(
                     sink.push(
                         report_row(v.name, &rep)
                             .str("rate", rate.label)
-                            .str("faults", &fc.spec())
+                            .str("faults", &rate.cfg.with_seed(fs).spec())
                             .u64("sched_seed", ss)
                             .u64("fault_seed", fs)
                             .u64("scale", scale as u64)
@@ -267,10 +178,10 @@ fn sweep(
                 }
                 // Replay determinism: the first pair again, bit for bit.
                 let (ss0, fs0) = pairs[0];
-                let replay = run_one(f, v, sys, t, scale, rate.cfg.with_seed(fs0), ss0);
+                let replay = faulted(fs0, ss0);
                 assert_eq!(
-                    stats_key(first.as_ref().expect("at least one pair")),
-                    stats_key(&replay),
+                    Fingerprint::of(first.as_ref().expect("at least one pair")),
+                    Fingerprint::of(&replay),
                     "{} rate={} threads={t} did not replay identically",
                     sys.label(),
                     rate.label,
@@ -353,9 +264,16 @@ fn main() {
              watchdog trips at high rate: {high_trips}\n"
         ));
         if check {
-            let txt = matches_artifact("chaos.txt", &out);
-            let json = matches_artifact("BENCH_chaos.json", &sink.render());
-            if !(txt && json) {
+            let hint =
+                "cargo run --release -p bench --bin chaos -- --json results/BENCH_chaos.json";
+            let mut failed = false;
+            for (name, got) in [("chaos.txt", &out), ("BENCH_chaos.json", &sink.render())] {
+                if let Err(e) = artifact::check(name, got, hint) {
+                    eprintln!("chaos --check: {e}");
+                    failed = true;
+                }
+            }
+            if failed {
                 std::process::exit(1);
             }
             println!(
@@ -363,8 +281,7 @@ fn main() {
             );
             return;
         }
-        let txt = results_dir().join("chaos.txt");
-        std::fs::write(&txt, &out).expect("write chaos.txt");
+        let txt = artifact::write("chaos.txt", &out);
         println!("wrote {}", txt.display());
     }
 

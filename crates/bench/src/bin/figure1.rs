@@ -10,7 +10,7 @@
 use std::path::PathBuf;
 
 use bench::json::JsonSink;
-use bench::{figure1_systems, run_variant, sequential_cycles};
+use bench::{checked_run, sequential_cycles};
 use stamp_util::driver::tm_config;
 use tm::SystemKind;
 
@@ -24,7 +24,7 @@ fn main() {
     let plot = f.on("plot");
     let with_lock = f.on("with-lock");
     let variants = bench::cli::variants(&f);
-    let systems: Vec<SystemKind> = figure1_systems()
+    let systems: Vec<SystemKind> = SystemKind::ALL_TM
         .into_iter()
         .chain(with_lock.then_some(SystemKind::GlobalLock))
         .collect();
@@ -49,7 +49,7 @@ fn main() {
             let mut retries_at_max = 0.0;
             let mut row = Vec::new();
             for &t in &threads {
-                let rep = run_variant(v, scale, tm_config(&f, sys, t));
+                let rep = checked_run(v, scale, tm_config(&f, sys, t));
                 let speedup = baseline as f64 / rep.run.sim_cycles.max(1) as f64;
                 retries_at_max = rep.run.stats.retries_per_txn();
                 if json_path.is_some() {
@@ -70,8 +70,6 @@ fn main() {
                         retries_at_max,
                         rep.verified
                     );
-                } else {
-                    assert!(rep.verified, "{} failed verification on {sys} @{t}", v.name);
                 }
                 row.push(speedup);
             }

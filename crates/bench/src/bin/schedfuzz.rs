@@ -30,37 +30,17 @@
 //! fault injection with schedule fuzzing: each run derives its fault
 //! seed from the spec's seed and the scheduler seed, so one sweep
 //! explores (schedule × fault) space while staying an exact repro.
-//! Faulted runs additionally assert the liveness invariants
-//! (commits + aborts == attempts, every thread commits).
+//! Every run goes through [`bench::checked_run`], so faulted runs
+//! additionally assert the liveness invariants (commits + aborts ==
+//! attempts, every thread commits).
 
 use std::path::PathBuf;
 
 use bench::json::{report_row, JsonSink};
-use bench::{golden, run_variant};
+use bench::{artifact, checked_run, golden, Fingerprint};
 use stamp_util::driver::tm_config;
 use stamp_util::{AppReport, Flags, Variant};
-use tm::{FaultConfig, SchedMode, SystemKind};
-
-/// Statistics that must be bit-identical between two runs of the same
-/// configuration (everything the engine reports except wall time).
-#[allow(clippy::type_complexity)]
-fn stats_key(rep: &AppReport) -> (u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, u64, bool) {
-    let s = &rep.run.stats;
-    (
-        rep.run.sim_cycles,
-        s.commits,
-        s.aborts,
-        s.attempts,
-        s.backoff_cycles,
-        s.serialized_commits,
-        s.priority_wins,
-        s.priority_losses,
-        s.spurious_aborts,
-        s.irrevocable_commits,
-        s.watchdog_trips,
-        rep.verified,
-    )
-}
+use tm::{FaultConfig, SchedMode, SystemKind, TmConfig};
 
 /// The fault profile a run at scheduler seed `sched_seed` uses: the
 /// spec's own seed mixed with the scheduler seed, so a seed sweep
@@ -81,55 +61,24 @@ fn fault_spec(f: &Flags) -> Option<FaultConfig> {
         .filter(FaultConfig::enabled)
 }
 
-/// One fuzz run: sanitizer recording every transaction, one scheduler
-/// seed. Panics (with a repro line) on any violation.
-#[allow(clippy::too_many_arguments)]
-fn fuzz_one(
+/// One fuzz run's configuration: sanitizer recording every
+/// transaction, one scheduler seed, and the `--fault` profile derived
+/// from that seed.
+fn fuzz_config(
     f: &Flags,
-    v: &Variant,
     sys: SystemKind,
     threads: usize,
-    scale: u32,
     mode: SchedMode,
     sched_seed: u64,
-) -> AppReport {
-    let faults = fault_spec(f);
-    let mut cfg = tm_config(f, sys, threads)
+) -> TmConfig {
+    let cfg = tm_config(f, sys, threads)
         .verify(true)
         .sched(mode)
         .sched_seed(sched_seed);
-    let mut fault_note = String::new();
-    if let Some(spec) = &faults {
-        let fc = fault_at(spec, sched_seed);
-        fault_note = format!(" TM_FAULT={}", fc.spec());
-        cfg = cfg.fault(fc);
+    match fault_spec(f) {
+        Some(spec) => cfg.fault(fault_at(&spec, sched_seed)),
+        None => cfg,
     }
-    let rep = run_variant(v, scale, cfg);
-    let repro = format!(
-        "repro: {} under {} mode={} threads={threads} scale={scale} \
-         TM_SCHED_SEED={sched_seed}{fault_note}",
-        v.name,
-        sys.label(),
-        mode.label(),
-    );
-    let verify = rep.run.verify.as_ref().expect("verify enabled");
-    assert!(
-        verify.is_clean(),
-        "serializability violation!\n{verify}\n{repro}"
-    );
-    assert!(rep.verified, "app verification failed\n{repro}");
-    if faults.is_some() {
-        let s = &rep.run.stats;
-        assert_eq!(
-            s.commits + s.aborts,
-            s.attempts,
-            "attempt ledger does not balance\n{repro}"
-        );
-        for (tid, &c) in rep.run.thread_commits.iter().enumerate() {
-            assert!(c > 0, "thread {tid} starved (0 commits)\n{repro}");
-        }
-    }
-    rep
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -160,7 +109,7 @@ fn sweep(
             let mut first: Option<AppReport> = None;
             for i in 0..seeds {
                 let seed = seed0 + i;
-                let rep = fuzz_one(f, v, sys, threads, scale, mode, seed);
+                let rep = checked_run(v, scale, fuzz_config(f, sys, threads, mode, seed));
                 println!(
                     "{:<14} {:<12} {:>10} {:>14} {:>9.2} {:>8} | clean",
                     v.name,
@@ -192,11 +141,11 @@ fn sweep(
             }
             // Replay determinism: the first seed, run again, must
             // reproduce every statistic bit for bit.
-            let replay = fuzz_one(f, v, sys, threads, scale, mode, seed0);
+            let replay = checked_run(v, scale, fuzz_config(f, sys, threads, mode, seed0));
             let first = first.expect("at least one seed");
             assert_eq!(
-                stats_key(&first),
-                stats_key(&replay),
+                Fingerprint::of(&first),
+                Fingerprint::of(&replay),
                 "{} under {} mode={} seed={seed0} did not replay identically",
                 v.name,
                 sys.label(),
@@ -236,7 +185,7 @@ fn smoke(f: &Flags, scale: u32, sink: &mut JsonSink) {
         let mut s = JsonSink::new();
         for v in &variants {
             for &sys in &systems {
-                let rep = fuzz_one(f, v, sys, 4, scale, SchedMode::MinClock, 1);
+                let rep = checked_run(v, scale, fuzz_config(f, sys, 4, SchedMode::MinClock, 1));
                 s.push(report_row(v.name, &rep).u64("sched_seed", 1));
             }
         }
@@ -258,12 +207,12 @@ fn main() {
     let mut sink = JsonSink::new();
 
     if f.on("golden") {
-        let dir = golden::golden_dir();
         let variants = stamp_util::sim_variants();
         if f.on("check") {
             let mut failed = 0;
             for v in &variants {
-                match golden::check_variant(&dir, v) {
+                let got = golden::golden_render(v);
+                match artifact::check(&golden::golden_name(v), &got, golden::GOLDEN_REGENERATE) {
                     Ok(()) => println!("golden {:<16} OK", v.name),
                     Err(e) => {
                         failed += 1;
@@ -275,7 +224,7 @@ fn main() {
             println!("golden: all {} variants match", variants.len());
         } else {
             for v in &variants {
-                let path = golden::write_variant(&dir, v);
+                let path = artifact::write(&golden::golden_name(v), &golden::golden_render(v));
                 println!("wrote {}", path.display());
             }
         }

@@ -8,7 +8,7 @@
 //! `--scale` defaults to 4: the qualitative labels are stable under
 //! scaling.
 
-use bench::run_variant;
+use bench::checked_run;
 use stamp_util::driver::tm_config;
 use stamp_util::variant;
 use tm::SystemKind;
@@ -52,8 +52,7 @@ fn main() {
     println!("{:-<100}", "");
     for (name, p_len, p_set, p_time, p_cont) in PAPER {
         let v = variant(name).expect("known variant");
-        let rep = run_variant(&v, scale, tm_config(&f, SystemKind::LazyHtm, threads));
-        assert!(rep.verified, "{name} failed verification");
+        let rep = checked_run(&v, scale, tm_config(&f, SystemKind::LazyHtm, threads));
         let s = &rep.run.stats;
         let len_label = bucket3(s.mean_txn_len(), 150.0, 3_000.0);
         let set_label = bucket3(

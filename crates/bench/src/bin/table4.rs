@@ -22,10 +22,11 @@
 use std::path::PathBuf;
 
 use bench::json::JsonSink;
-use bench::pct;
 use bench::table4::{
-    characterize, check_table4, table4_apps, table4_row, write_table4, TABLE4_SCALE,
+    table4_apps, table4_config, table4_pinned_render, table4_row, TABLE4_ARTIFACT,
+    TABLE4_REGENERATE, TABLE4_SCALE,
 };
+use bench::{artifact, checked_run, pct};
 use stamp_util::Variant;
 use tm::{ProfBucket, SystemKind};
 
@@ -88,7 +89,7 @@ fn characterization(
         println!("{:-<108}", format!("{} ", v.name));
         let mut stm_hot = None;
         for &sys in systems {
-            let rep = characterize(v, scale, sys, threads);
+            let rep = checked_run(v, scale, table4_config(sys, threads));
             let s = &rep.run.stats;
             let prof = rep.run.prof.as_ref().expect("prof enabled");
             let f = |b| format!("{:.1}%", prof.fraction(b) * 100.0);
@@ -156,7 +157,7 @@ fn smoke(sink: &mut JsonSink) {
     let render_once = || {
         let mut s = JsonSink::new();
         for v in table4_apps().iter().take(2) {
-            let rep = characterize(v, TABLE4_SCALE, SystemKind::LazyStm, 4);
+            let rep = checked_run(v, TABLE4_SCALE, table4_config(SystemKind::LazyStm, 4));
             s.push(table4_row(v, TABLE4_SCALE, &rep));
         }
         s.render()
@@ -176,14 +177,15 @@ fn main() {
         return;
     }
     if f.on("check") {
-        match check_table4() {
+        let got = table4_pinned_render();
+        match artifact::check(TABLE4_ARTIFACT, &got, TABLE4_REGENERATE) {
             Ok(()) => println!("results/table4.json matches a byte-identical re-run"),
             Err(e) => panic!("{e}"),
         }
         return;
     }
     if f.on("write") {
-        let path = write_table4();
+        let path = artifact::write(TABLE4_ARTIFACT, &table4_pinned_render());
         println!("wrote {}", path.display());
         return;
     }

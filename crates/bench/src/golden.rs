@@ -8,7 +8,8 @@
 //! written with [`crate::json`] so a re-run can be compared byte for
 //! byte.
 //!
-//! Workflow:
+//! Workflow ([`golden_render`] renders a file's text, and
+//! [`crate::artifact`] compares or writes it under [`golden_name`]):
 //!
 //! * `cargo run --release -p bench --bin schedfuzz -- --golden` —
 //!   (re)generate every golden file after an intentional engine change;
@@ -18,8 +19,6 @@
 //!   test target running the same check;
 //! * `tests/golden.rs` also byte-checks one representative variant in
 //!   the default (tier-1) test run.
-
-use std::path::{Path, PathBuf};
 
 use stamp_util::Variant;
 use tm::{SchedMode, SystemKind, TmConfig};
@@ -37,15 +36,12 @@ pub const GOLDEN_THREADS: [usize; 4] = [1, 2, 4, 8];
 /// Scheduler seed pinned into every golden run.
 pub const GOLDEN_SCHED_SEED: u64 = tm::DEFAULT_SCHED_SEED;
 
-/// The checked-in golden directory (`results/golden/` at the repo
-/// root, resolved relative to this crate so tests work from any CWD).
-pub fn golden_dir() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/golden")
-}
+/// The command that regenerates every golden file.
+pub const GOLDEN_REGENERATE: &str = "cargo run --release -p bench --bin schedfuzz -- --golden";
 
-/// The golden file for a variant.
-pub fn golden_path(dir: &Path, variant: &Variant) -> PathBuf {
-    dir.join(format!("{}.json", variant.name))
+/// A variant's golden file, relative to `results/`.
+pub fn golden_name(variant: &Variant) -> String {
+    format!("golden/{}.json", variant.name)
 }
 
 /// The exact configuration a golden row is measured under: every seed
@@ -73,38 +69,4 @@ pub fn golden_render(variant: &Variant) -> String {
         }
     }
     sink.render()
-}
-
-/// Re-run one variant's golden matrix and byte-compare against the
-/// checked-in file. `Ok(())` on an exact match; `Err` describes the
-/// divergence (first differing line) or a missing file.
-pub fn check_variant(dir: &Path, variant: &Variant) -> Result<(), String> {
-    let path = golden_path(dir, variant);
-    let want = std::fs::read_to_string(&path).map_err(|e| {
-        format!(
-            "{}: {e} (regenerate with schedfuzz --golden)",
-            path.display()
-        )
-    })?;
-    let got = golden_render(variant);
-    if got == want {
-        return Ok(());
-    }
-    let diff = crate::first_difference(&want, &got);
-    Err(format!(
-        "{} diverged from the checked-in golden run ({diff})\n\
-         If the engine change is intentional, regenerate with:\n\
-         cargo run --release -p bench --bin schedfuzz -- --golden",
-        variant.name
-    ))
-}
-
-/// Generate (overwrite) the golden file for one variant; returns the
-/// path written.
-pub fn write_variant(dir: &Path, variant: &Variant) -> PathBuf {
-    let path = golden_path(dir, variant);
-    std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("creating {}: {e}", dir.display()));
-    std::fs::write(&path, golden_render(variant))
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    path
 }

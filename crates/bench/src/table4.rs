@@ -20,18 +20,19 @@
 //! * `cargo run --release -p bench --bin table4 -- --check` —
 //!   regenerate in memory and byte-compare against the checked-in file.
 //!
-//! Every run asserts the profiler's hard accounting invariant
-//! ([`tm::ProfReport::check`]): per thread, the six buckets sum exactly
-//! to the thread's simulated clock.
-
-use std::path::{Path, PathBuf};
+//! Both render with [`table4_pinned_render`] and compare or write
+//! through [`crate::artifact`]. Every run goes through
+//! [`crate::checked_run`] with the profiler on, so it asserts the
+//! profiler's hard accounting invariant ([`tm::ProfReport::check`]):
+//! per thread, the six buckets sum exactly to the thread's simulated
+//! clock.
 
 use stamp_util::{AppReport, Variant};
 use tm::{ProfBucket, SchedMode, SystemKind, TmConfig};
 
+use crate::checked_run;
 use crate::golden::{GOLDEN_SCALE, GOLDEN_SCHED_SEED};
 use crate::json::{report_row, JsonSink, Row};
-use crate::run_variant;
 
 /// Workload divisor for the checked-in artifact (matches the golden
 /// files, so both regenerate in comparable time).
@@ -69,33 +70,6 @@ pub fn table4_config(system: SystemKind, threads: usize) -> TmConfig {
         .prof(true)
 }
 
-/// Run one (variant, system) characterization and enforce the
-/// profiler's contract: the accounting invariant holds on every thread,
-/// the profiler saw the same clocks the stats pipeline aggregated, and
-/// the application's own verification passed.
-///
-/// # Panics
-///
-/// Panics with a repro description on any violation — a failure here is
-/// an engine accounting bug, not a measurement artifact.
-pub fn characterize(v: &Variant, scale: u32, system: SystemKind, threads: usize) -> AppReport {
-    let rep = run_variant(v, scale, table4_config(system, threads));
-    let repro = format!(
-        "{} under {} threads={threads} scale={scale} TM_SCHED_SEED={GOLDEN_SCHED_SEED}",
-        v.name,
-        system.label()
-    );
-    let prof = rep.run.prof.as_ref().expect("prof enabled");
-    prof.check().unwrap_or_else(|e| panic!("{repro}: {e}"));
-    assert_eq!(
-        prof.total_cycles(),
-        rep.run.stats.cycles_total,
-        "{repro}: profiler clocks disagree with the stats pipeline"
-    );
-    assert!(rep.verified, "{repro}: app verification failed");
-    rep
-}
-
 /// One JSON row: the shared report fields, the Table IV
 /// characterization columns, and the six-bucket cycle breakdown.
 pub fn table4_row(v: &Variant, scale: u32, rep: &AppReport) -> Row {
@@ -131,56 +105,21 @@ pub fn table4_render(variants: &[Variant], scale: u32, threads: usize) -> String
     let mut sink = JsonSink::new();
     for v in variants {
         for sys in SystemKind::ALL_TM {
-            let rep = characterize(v, scale, sys, threads);
+            let rep = checked_run(v, scale, table4_config(sys, threads));
             sink.push(table4_row(v, scale, &rep));
         }
     }
     sink.render()
 }
 
-/// The checked-in artifact (`results/table4.json` at the repo root,
-/// resolved relative to this crate so tests work from any CWD).
-pub fn table4_path() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/table4.json")
-}
+/// The checked-in artifact, relative to `results/`.
+pub const TABLE4_ARTIFACT: &str = "table4.json";
 
-fn pinned_render() -> String {
+/// The command that regenerates [`TABLE4_ARTIFACT`].
+pub const TABLE4_REGENERATE: &str = "cargo run --release -p bench --bin table4 -- --write";
+
+/// The pinned rendering of [`TABLE4_ARTIFACT`]: the eight base apps at
+/// [`TABLE4_SCALE`] and [`TABLE4_THREADS`].
+pub fn table4_pinned_render() -> String {
     table4_render(&table4_apps(), TABLE4_SCALE, TABLE4_THREADS)
-}
-
-/// Re-run the pinned configuration and byte-compare against the
-/// checked-in `results/table4.json`. `Ok(())` on an exact match; `Err`
-/// describes the divergence (first differing line) or a missing file.
-///
-/// # Errors
-///
-/// Returns the first divergent line, or the read error for a missing
-/// artifact.
-pub fn check_table4() -> Result<(), String> {
-    let path = table4_path();
-    let want = std::fs::read_to_string(&path)
-        .map_err(|e| format!("{}: {e} (regenerate with table4 --write)", path.display()))?;
-    let got = pinned_render();
-    if got == want {
-        return Ok(());
-    }
-    let diff = crate::first_difference(&want, &got);
-    Err(format!(
-        "results/table4.json diverged from a re-run ({diff})\n\
-         If the engine change is intentional, regenerate with:\n\
-         cargo run --release -p bench --bin table4 -- --write"
-    ))
-}
-
-/// Generate (overwrite) `results/table4.json`; returns the path
-/// written.
-pub fn write_table4() -> PathBuf {
-    let path = table4_path();
-    if let Some(parent) = path.parent() {
-        std::fs::create_dir_all(parent)
-            .unwrap_or_else(|e| panic!("creating {}: {e}", parent.display()));
-    }
-    std::fs::write(&path, pinned_render())
-        .unwrap_or_else(|e| panic!("writing {}: {e}", path.display()));
-    path
 }

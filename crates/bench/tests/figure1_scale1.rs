@@ -11,7 +11,6 @@
 //! --ignored` (about a minute: each of the 62 runs populates 4 × 1 M
 //! records).
 
-use std::path::Path;
 use std::process::Command;
 
 /// The lines of `variant`'s block: from `"<variant> (sequential: …"`
@@ -47,10 +46,8 @@ fn block_skips_banner_and_trailer() {
 #[ignore = "tier 2: paper-scale vacation runs, about a minute in release"]
 fn vacation_plus_rows_match_results_figure1() {
     let variants = ["vacation-high+", "vacation-low+"];
-    let committed = std::fs::read_to_string(
-        Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results/figure1.txt"),
-    )
-    .expect("read results/figure1.txt");
+    let committed = std::fs::read_to_string(bench::artifact::path("figure1.txt"))
+        .expect("read results/figure1.txt");
     let out = Command::new(env!("CARGO_BIN_EXE_figure1"))
         .args(["--scale", "1", "--variants", &variants.join(",")])
         .output()

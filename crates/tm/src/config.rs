@@ -197,18 +197,17 @@ pub struct CostModel {
 }
 
 impl CostModel {
-    /// The configuration used throughout the paper's evaluation.
-    pub const fn table_v() -> Self {
-        CostModel {
-            l1_hit: 1,
-            l2_hit: 12,
-            commit_per_write: 8,
-            htm_commit_per_line: 2,
-            commit_per_read: 3,
-            abort_per_undo: 10,
-            abort_fixed: 40,
-        }
-    }
+    /// The configuration used throughout the paper's evaluation, and
+    /// the only one the engine charges.
+    pub const TABLE_V: CostModel = CostModel {
+        l1_hit: 1,
+        l2_hit: 12,
+        commit_per_write: 8,
+        htm_commit_per_line: 2,
+        commit_per_read: 3,
+        abort_per_undo: 10,
+        abort_fixed: 40,
+    };
 }
 
 /// Complete configuration for a [`crate::runtime::TmRuntime`].
@@ -230,8 +229,6 @@ pub struct TmConfig {
     /// Scheduler quantum in cycles: a thread may run at most this far
     /// ahead of the slowest runnable thread.
     pub quantum: u64,
-    /// Machine cost model.
-    pub cost: CostModel,
     /// STM conflict-detection granularity.
     pub stm_granularity: Granularity,
     /// Modeled private L1 (capacity bound for HTM speculative state).
@@ -314,7 +311,6 @@ impl TmConfig {
             system,
             threads,
             quantum: 500,
-            cost: CostModel::table_v(),
             stm_granularity: Granularity::Word,
             l1: CacheGeometry::table_v_l1(),
             cache_sim: false,

@@ -102,10 +102,6 @@ pub(crate) struct ProfThread {
     /// no twin counter — the engine already tracks them per attempt in
     /// `TxnState::app_cycles`.
     pub att_tm: u64,
-    /// STM only: lock-table index → first line read through it this
-    /// attempt, so a TL2 validation failure can name the conflicting
-    /// line. Cleared at attempt start.
-    pub lock_lines: FxHashMap<u32, u64>,
 }
 
 impl ProfThread {
@@ -117,7 +113,6 @@ impl ProfThread {
     /// Begin a new attempt: clear the per-attempt staging state.
     pub(crate) fn begin_attempt(&mut self) {
         self.att_tm = 0;
-        self.lock_lines.clear();
     }
 
     /// Fold the finished attempt into its outcome buckets.

@@ -41,7 +41,7 @@ use crate::addr::{LineAddr, WordAddr};
 use crate::cache::CacheModel;
 use crate::cm::{CmPolicy, CmShared};
 use crate::config::MutationHook;
-use crate::config::{SystemKind, TmConfig};
+use crate::config::{CostModel, SystemKind, TmConfig};
 use crate::directory::Directory;
 use crate::fault::{FaultState, WatchdogConfig};
 use crate::fiber::Fiber;
@@ -570,25 +570,6 @@ impl ThreadCtx {
         }
     }
 
-    /// Profiler hook (STM): remember which heap line a lock-table index
-    /// guards this attempt, so a validation failure can be attributed
-    /// to a concrete line.
-    #[inline]
-    pub(crate) fn prof_note_lock_line(&mut self, idx: u32, line: u64) {
-        if let Some(p) = &mut self.prof {
-            p.lock_lines.entry(idx).or_insert(line);
-        }
-    }
-
-    /// Profiler hook (STM): resolve a lock-table index recorded by
-    /// [`ThreadCtx::prof_note_lock_line`] back to its heap line.
-    #[inline]
-    pub(crate) fn prof_lock_line(&self, idx: u32) -> Option<u64> {
-        self.prof
-            .as_ref()
-            .and_then(|p| p.lock_lines.get(&idx).copied())
-    }
-
     #[inline]
     pub(crate) fn advance(&mut self, cycles: u64) {
         self.clock += cycles;
@@ -633,7 +614,7 @@ impl ThreadCtx {
     /// work, consulting the L1 model when enabled.
     #[inline]
     pub(crate) fn charge_mem(&mut self, line: LineAddr) {
-        let cost = &self.global.config.cost;
+        let cost = &CostModel::TABLE_V;
         let cycles = match &mut self.cache {
             Some(cache) => {
                 if cache.access(line.0) {

@@ -17,7 +17,7 @@
 use super::{Abort, TxResult, Txn, OVERFLOWED, READ, RESIDENT, WRITTEN};
 use crate::addr::{LineAddr, WordAddr};
 use crate::cm::CmPolicy;
-use crate::config::HtmConflictPolicy;
+use crate::config::{CostModel, HtmConflictPolicy};
 use crate::runtime::{ThreadCtx, NO_PRIORITY};
 use crate::trace::TraceLevel;
 
@@ -71,7 +71,7 @@ fn holds_priority(ctx: &ThreadCtx) -> bool {
 pub(super) fn lazy_read(tx: &mut Txn<'_>, addr: WordAddr) -> TxResult<u64> {
     tx.check_doomed()?;
     if let Some(&v) = tx.ctx.txn.write_map.get(&addr.0) {
-        let c = tx.ctx.global.config.cost.l1_hit;
+        let c = CostModel::TABLE_V.l1_hit;
         tx.ctx.charge_app(c);
         return Ok(v);
     }
@@ -92,7 +92,7 @@ pub(super) fn lazy_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxResu
         cache_insert_lazy(tx, line, flags)?;
     }
     tx.ctx.txn.write_map.insert(addr.0, value);
-    let c = tx.ctx.global.config.cost.l1_hit;
+    let c = CostModel::TABLE_V.l1_hit;
     tx.ctx.charge_app(c);
     Ok(())
 }
@@ -344,7 +344,7 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
         .map(|(&a, &v)| (a, v))
         .collect();
     entries.sort_unstable_by_key(|&(a, _)| a);
-    let per_line = tx.ctx.global.config.cost.htm_commit_per_line;
+    let per_line = CostModel::TABLE_V.htm_commit_per_line;
     for slice in entries.chunk_by(|x, y| WordAddr(x.0).line() == WordAddr(y.0).line()) {
         let line = WordAddr(slice[0].0).line();
         // Split-borrow the context so the commit closure can update

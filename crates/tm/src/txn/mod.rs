@@ -45,7 +45,7 @@ mod tl2;
 
 use crate::addr::{LineAddr, WordAddr};
 use crate::cm::{ewma_step, CmPolicy, HTM_PRIORITY_AFTER};
-use crate::config::SystemKind;
+use crate::config::{CostModel, SystemKind};
 use crate::fault::FaultKind;
 use crate::fxhash::FxHashMap;
 use crate::heap::{TArray, TCell, TmValue};
@@ -196,8 +196,10 @@ const OVERFLOWED: u8 = 8;
 pub(crate) struct TxnState {
     /// TL2 read timestamp.
     pub rv: u64,
-    /// STM read set: lock-table indices to validate at commit.
-    pub read_locks: Vec<u32>,
+    /// STM read set: (lock-table index, heap line read through it) per
+    /// read, in read order. Commit validates each index; a failure is
+    /// blamed on the line of the first failing entry.
+    pub read_locks: Vec<(u32, u64)>,
     /// Lazy redo buffer: word address -> value.
     pub write_map: FxHashMap<u64, u64>,
     /// Eager undo log: (word address, previous value), in write order.
@@ -501,7 +503,7 @@ impl ThreadCtx {
     fn after_abort(&mut self, retries: u32, start_clock: u64) {
         // The fixed abort cost belongs to the attempt that just died,
         // not to (committed-attempt) overhead.
-        let fixed = self.global.config.cost.abort_fixed;
+        let fixed = CostModel::TABLE_V.abort_fixed;
         self.charge_bucket(fixed, ProfBucket::Wasted);
         if self.irrevocable {
             return;
@@ -588,7 +590,7 @@ impl ThreadCtx {
             // zero-cycle charge can flush pending cycles at a different
             // point and perturb the simulated interleaving.
             if undo_len > 0 {
-                let per = self.global.config.cost.abort_per_undo;
+                let per = CostModel::TABLE_V.abort_per_undo;
                 self.charge_tm(per * undo_len as u64);
             }
         }
@@ -952,7 +954,7 @@ impl Txn<'_> {
     /// Lazy software commit (lazy STM, lazy hybrid): write the redo log
     /// back to the heap, charging each word's memory access and copy.
     fn apply_redo_log(&mut self) {
-        let per_write = self.ctx.global.config.cost.commit_per_write;
+        let per_write = CostModel::TABLE_V.commit_per_write;
         // Taken out for the loop, which needs the context mutably;
         // nothing in it reads the redo log.
         let redo = std::mem::take(&mut self.ctx.txn.write_map);

@@ -7,7 +7,7 @@
 
 use super::{Abort, SystemProps, TxResult, Txn, READ, WRITTEN};
 use crate::addr::WordAddr;
-use crate::config::{MutationHook, SystemKind};
+use crate::config::{CostModel, MutationHook, SystemKind};
 use crate::locks::LockWord;
 
 const LAZY: SystemProps = SystemKind::LazyStm.props();
@@ -63,8 +63,7 @@ fn read_unlocked(tx: &mut Txn<'_>, addr: WordAddr, idx: u32, version: u64) -> Tx
         return tx.lose(line, None);
     }
     let val = tx.ctx.txn_load(addr);
-    tx.ctx.txn.read_locks.push(idx);
-    tx.ctx.prof_note_lock_line(idx, line);
+    tx.ctx.txn.read_locks.push((idx, line));
     Ok(val)
 }
 
@@ -105,7 +104,7 @@ pub(super) fn eager_write(tx: &mut Txn<'_>, addr: WordAddr, value: u64) -> TxRes
 pub(super) fn early_release(tx: &mut Txn<'_>, addr: WordAddr) {
     let line = addr.line();
     let idx = tx.ctx.global.locks.index_of(addr);
-    tx.ctx.txn.read_locks.retain(|&i| i != idx);
+    tx.ctx.txn.read_locks.retain(|&(i, _)| i != idx);
     tx.ctx.txn.release_read(line.0);
     tx.ctx.verify_release_line(line);
     tx.ctx.charge_tm(2);
@@ -118,7 +117,7 @@ pub(super) fn early_release(tx: &mut Txn<'_>, addr: WordAddr) {
 /// valid only if the version the lock held *before we acquired it* is
 /// no newer than `rv`. (The eager STM passes an empty slice: it
 /// version-checks at acquisition.) A failure is attributed to the heap
-/// line the attempt read through the offending index, and to the lock's
+/// line stored in the first failing read-set entry, and to the lock's
 /// owner when there is one (`None` means the writer already committed).
 fn validate(tx: &Txn<'_>, wv: u64, acquired: &[(u32, u64)]) -> TxResult<()> {
     let rv = tx.ctx.txn.rv;
@@ -129,7 +128,7 @@ fn validate(tx: &Txn<'_>, wv: u64, acquired: &[(u32, u64)]) -> TxResult<()> {
     if wv <= rv + 1 || skip {
         return Ok(());
     }
-    for &idx in &tx.ctx.txn.read_locks {
+    for &(idx, line) in &tx.ctx.txn.read_locks {
         let conflict = match tx.ctx.global.locks.load(idx) {
             LockWord::Locked { owner } if owner == tx.ctx.tid => {
                 let pos = acquired.binary_search_by_key(&idx, |&(i, _)| i);
@@ -139,9 +138,7 @@ fn validate(tx: &Txn<'_>, wv: u64, acquired: &[(u32, u64)]) -> TxResult<()> {
             LockWord::Unlocked { version } => (version > rv).then_some(None),
         };
         if let Some(owner) = conflict {
-            if let Some(line) = tx.ctx.prof_lock_line(idx) {
-                tx.ctx.prof_conflict(line, owner, tx.ctx.tid);
-            }
+            tx.ctx.prof_conflict(line, owner, tx.ctx.tid);
             return Err(Abort(()));
         }
     }
@@ -186,7 +183,7 @@ pub(super) fn lazy_commit(tx: &mut Txn<'_>) -> TxResult<()> {
         return Err(Abort(()));
     }
     tx.apply_redo_log();
-    let per_read = tx.ctx.global.config.cost.commit_per_read;
+    let per_read = CostModel::TABLE_V.commit_per_read;
     tx.ctx
         .charge_tm(per_read * tx.ctx.txn.read_locks.len() as u64);
     for &(i, _) in &acquired {
@@ -199,7 +196,7 @@ pub(super) fn eager_commit(tx: &mut Txn<'_>) -> TxResult<()> {
     tx.ctx.charge_txn_fixed();
     let wv = tx.ctx.global.clock.increment();
     validate(tx, wv, &[])?; // rollback (in try_commit) undoes and releases
-    let per_read = tx.ctx.global.config.cost.commit_per_read;
+    let per_read = CostModel::TABLE_V.commit_per_read;
     tx.ctx
         .charge_tm(per_read * tx.ctx.txn.read_locks.len() as u64);
     for &(idx, _) in &tx.ctx.txn.held_locks {

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# Local CI gate: formatting, lints, tests, and the access-discipline
-# lint over the application crates. Mirrors .github/workflows/ci.yml.
+# The CI gate list, run locally and by .github/workflows/ci.yml as its
+# one gate step: formatting, lints, tests, the access-discipline lint
+# over the application crates, the smoke sweeps, the byte-checks of the
+# pinned artifacts and perfbench's correctness passes.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

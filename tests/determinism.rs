@@ -19,56 +19,8 @@
 //! so the test below runs yada across *many* scheduler seeds with no
 //! pinning workaround, and every schedule must verify.
 
-use stamp::tm::{RunStats, SchedMode, SystemKind, TmConfig, DEFAULT_SCHED_SEED};
-use stamp::util::{AppParams, AppReport};
-
-fn run(params: &AppParams, cfg: TmConfig) -> AppReport {
-    match params {
-        AppParams::Bayes(p) => stamp::bayes::run(p, cfg),
-        AppParams::Genome(p) => stamp::genome::run(p, cfg),
-        AppParams::Intruder(p) => stamp::intruder::run(p, cfg),
-        AppParams::Kmeans(p) => stamp::kmeans::run(p, cfg),
-        AppParams::Labyrinth(p) => stamp::labyrinth::run(p, cfg),
-        AppParams::Ssca2(p) => stamp::ssca2::run(p, cfg),
-        AppParams::Vacation(p) => stamp::vacation::run(p, cfg),
-        AppParams::Yada(p) => stamp::yada::run(p, cfg),
-    }
-}
-
-/// Everything a run reports, flattened for exact comparison: simulated
-/// cycles, the full transactional statistics block, the CM counters,
-/// the app's own result summary, and the verification verdict.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    sim_cycles: u64,
-    commits: u64,
-    aborts: u64,
-    attempts: u64,
-    backoff_cycles: u64,
-    serialized_commits: u64,
-    priority_wins: u64,
-    priority_losses: u64,
-    config: String,
-    verified: bool,
-}
-
-impl Fingerprint {
-    fn of(rep: &AppReport) -> Self {
-        let s: &RunStats = &rep.run.stats;
-        Fingerprint {
-            sim_cycles: rep.run.sim_cycles,
-            commits: s.commits,
-            aborts: s.aborts,
-            attempts: s.attempts,
-            backoff_cycles: s.backoff_cycles,
-            serialized_commits: s.serialized_commits,
-            priority_wins: s.priority_wins,
-            priority_losses: s.priority_losses,
-            config: rep.config.clone(),
-            verified: rep.verified,
-        }
-    }
-}
+use bench::{checked_run, Fingerprint};
+use stamp::tm::{SchedMode, SystemKind, TmConfig, DEFAULT_SCHED_SEED};
 
 fn pinned(sys: SystemKind, threads: usize, sched_seed: u64) -> TmConfig {
     TmConfig::new(sys, threads)
@@ -84,17 +36,19 @@ fn replay_is_bit_identical_across_all_systems() {
     let apps = ["genome", "intruder", "vacation-high"];
     for name in apps {
         let v = stamp::util::variant(name).expect("known variant");
-        let params = v.scaled(64);
         for sys in SystemKind::ALL_TM {
             for sched_seed in [DEFAULT_SCHED_SEED, 7] {
-                let a = Fingerprint::of(&run(&params, pinned(sys, 4, sched_seed)));
-                let b = Fingerprint::of(&run(&params, pinned(sys, 4, sched_seed)));
+                let rep = checked_run(&v, 64, pinned(sys, 4, sched_seed));
+                assert!(
+                    rep.run.stats.commits > 0,
+                    "{name} under {sys} ran no transactions"
+                );
+                let replay = checked_run(&v, 64, pinned(sys, 4, sched_seed));
                 assert_eq!(
-                    a, b,
+                    Fingerprint::of(&rep),
+                    Fingerprint::of(&replay),
                     "{name} under {sys} sched_seed={sched_seed} did not replay identically"
                 );
-                assert!(a.verified, "{name} under {sys} failed verification");
-                assert!(a.commits > 0, "{name} under {sys} ran no transactions");
             }
         }
     }
@@ -110,24 +64,25 @@ fn replay_is_bit_identical_across_all_systems() {
 #[test]
 fn yada_verifies_on_every_sched_seed() {
     let v = stamp::util::variant("yada").expect("known variant");
-    let params = v.scaled(64);
     for threads in [2, 4] {
         for sched_seed in 0..8 {
-            let rep = run(&params, pinned(SystemKind::LazyStm, threads, sched_seed));
-            assert!(
-                rep.verified,
-                "yada at {threads} threads failed under sched_seed={sched_seed} \
-                 (config: {})",
-                rep.config
-            );
+            let rep = checked_run(&v, 64, pinned(SystemKind::LazyStm, threads, sched_seed));
             assert!(
                 rep.config.contains("retired="),
                 "yada report no longer exposes the retired counter: {}",
                 rep.config
             );
         }
-        let a = Fingerprint::of(&run(&params, pinned(SystemKind::LazyStm, threads, 42)));
-        let b = Fingerprint::of(&run(&params, pinned(SystemKind::LazyStm, threads, 42)));
+        let a = Fingerprint::of(&checked_run(
+            &v,
+            64,
+            pinned(SystemKind::LazyStm, threads, 42),
+        ));
+        let b = Fingerprint::of(&checked_run(
+            &v,
+            64,
+            pinned(SystemKind::LazyStm, threads, 42),
+        ));
         assert_eq!(a, b, "yada at {threads} threads did not replay identically");
     }
 }
@@ -139,12 +94,7 @@ fn yada_verifies_on_every_sched_seed() {
 #[test]
 fn different_sched_seeds_all_verify() {
     let v = stamp::util::variant("kmeans-high").expect("known variant");
-    let params = v.scaled(64);
     for sched_seed in [0, 1, 2, 3] {
-        let rep = run(&params, pinned(SystemKind::EagerHtm, 4, sched_seed));
-        assert!(
-            rep.verified,
-            "kmeans-high failed under sched_seed={sched_seed}"
-        );
+        checked_run(&v, 64, pinned(SystemKind::EagerHtm, 4, sched_seed));
     }
 }

@@ -17,27 +17,24 @@
 //! `cargo run --release -p bench --bin schedfuzz -- --golden` and
 //! commit the diff alongside the change.
 
-use bench::golden::{check_variant, golden_dir};
+use bench::artifact;
+use bench::golden::{golden_name, golden_render, GOLDEN_REGENERATE};
 
-fn variant(name: &str) -> stamp_util::Variant {
-    stamp_util::all_variants()
-        .into_iter()
-        .find(|v| v.name == name)
-        .unwrap_or_else(|| panic!("no variant named {name}"))
+fn check(v: &stamp_util::Variant) -> Result<(), String> {
+    artifact::check(&golden_name(v), &golden_render(v), GOLDEN_REGENERATE)
 }
 
 #[test]
 fn golden_genome_matches() {
-    check_variant(&golden_dir(), &variant("genome")).unwrap();
+    check(&stamp_util::variant("genome").expect("known variant")).unwrap();
 }
 
 #[test]
 #[ignore = "tier-2: full 20-variant golden sweep; run with --ignored in release"]
 fn golden_all_variants_match() {
-    let dir = golden_dir();
     let mut failures = Vec::new();
     for v in stamp_util::sim_variants() {
-        match check_variant(&dir, &v) {
+        match check(&v) {
             Ok(()) => println!("golden {:<16} OK", v.name),
             Err(e) => {
                 println!("golden {:<16} MISMATCH", v.name);

@@ -3,21 +3,9 @@
 //! scaled down (the full sizes are multi-hour runs by design; the
 //! harness accepts them via `--variants ... --scale 1`).
 
+use bench::checked_run;
 use stamp::tm::{SystemKind, TmConfig};
 use stamp::util::{all_variants, AppParams};
-
-fn run(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
-    match params {
-        AppParams::Bayes(p) => stamp::bayes::run(p, cfg),
-        AppParams::Genome(p) => stamp::genome::run(p, cfg),
-        AppParams::Intruder(p) => stamp::intruder::run(p, cfg),
-        AppParams::Kmeans(p) => stamp::kmeans::run(p, cfg),
-        AppParams::Labyrinth(p) => stamp::labyrinth::run(p, cfg),
-        AppParams::Ssca2(p) => stamp::ssca2::run(p, cfg),
-        AppParams::Vacation(p) => stamp::vacation::run(p, cfg),
-        AppParams::Yada(p) => stamp::yada::run(p, cfg),
-    }
-}
 
 #[test]
 fn every_plus_plus_variant_runs_scaled() {
@@ -28,8 +16,7 @@ fn every_plus_plus_variant_runs_scaled() {
     assert_eq!(pp.len(), 10, "ten ++ variants in Table IV");
     for v in pp {
         // Scale hard: these inputs are up to 2^20 nodes / 16M segments.
-        let rep = run(&v.scaled(512), TmConfig::new(SystemKind::LazyHtm, 4));
-        assert!(rep.verified, "{} failed", v.name);
+        checked_run(&v, 512, TmConfig::new(SystemKind::LazyHtm, 4));
     }
 }
 

@@ -195,22 +195,5 @@ fn run(
     sys: SystemKind,
     threads: usize,
 ) -> stamp::util::AppReport {
-    let cfg = TmConfig::new(sys, threads);
-    dispatch(v, scale, cfg)
-}
-
-fn dispatch(v: &stamp::util::Variant, scale: u32, cfg: TmConfig) -> stamp::util::AppReport {
-    use stamp::util::AppParams;
-    let rep = match v.scaled(scale) {
-        AppParams::Bayes(p) => stamp::bayes::run(&p, cfg),
-        AppParams::Genome(p) => stamp::genome::run(&p, cfg),
-        AppParams::Intruder(p) => stamp::intruder::run(&p, cfg),
-        AppParams::Kmeans(p) => stamp::kmeans::run(&p, cfg),
-        AppParams::Labyrinth(p) => stamp::labyrinth::run(&p, cfg),
-        AppParams::Ssca2(p) => stamp::ssca2::run(&p, cfg),
-        AppParams::Vacation(p) => stamp::vacation::run(&p, cfg),
-        AppParams::Yada(p) => stamp::yada::run(&p, cfg),
-    };
-    assert!(rep.verified, "{} failed verification", v.name);
-    rep
+    bench::checked_run(v, scale, TmConfig::new(sys, threads))
 }

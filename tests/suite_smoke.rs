@@ -2,29 +2,16 @@
 //! and verifies on a sequential baseline and on representative TM
 //! systems, through the public APIs re-exported by the `stamp` crate.
 
+use bench::{checked_run, Fingerprint};
 use stamp::tm::{SystemKind, TmConfig};
-use stamp::util::{sim_variants, AppParams};
-
-fn run(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
-    match params {
-        AppParams::Bayes(p) => stamp::bayes::run(p, cfg),
-        AppParams::Genome(p) => stamp::genome::run(p, cfg),
-        AppParams::Intruder(p) => stamp::intruder::run(p, cfg),
-        AppParams::Kmeans(p) => stamp::kmeans::run(p, cfg),
-        AppParams::Labyrinth(p) => stamp::labyrinth::run(p, cfg),
-        AppParams::Ssca2(p) => stamp::ssca2::run(p, cfg),
-        AppParams::Vacation(p) => stamp::vacation::run(p, cfg),
-        AppParams::Yada(p) => stamp::yada::run(p, cfg),
-    }
-}
+use stamp::util::sim_variants;
 
 /// All 20 simulator-sized variants, heavily scaled, on the sequential
 /// system: inputs generate, algorithms run, outputs verify.
 #[test]
 fn all_variants_verify_sequentially() {
     for v in sim_variants() {
-        let rep = run(&v.scaled(32), TmConfig::sequential());
-        assert!(rep.verified, "{} failed sequential verification", v.name);
+        let rep = checked_run(&v, 32, TmConfig::sequential());
         assert!(rep.run.stats.commits > 0, "{} ran no transactions", v.name);
     }
 }
@@ -34,8 +21,7 @@ fn all_variants_verify_sequentially() {
 fn all_variants_verify_on_lazy_systems() {
     for v in sim_variants() {
         for sys in [SystemKind::LazyHtm, SystemKind::LazyStm] {
-            let rep = run(&v.scaled(32), TmConfig::new(sys, 4));
-            assert!(rep.verified, "{} failed under {sys}", v.name);
+            checked_run(&v, 32, TmConfig::new(sys, 4));
         }
     }
 }
@@ -57,20 +43,19 @@ fn app_cross_system_matrix() {
     for name in picks {
         let v = stamp::util::variant(name).expect("known variant");
         for sys in SystemKind::ALL_TM {
-            let rep = run(&v.scaled(32), TmConfig::new(sys, 8));
-            assert!(rep.verified, "{name} failed under {sys}");
+            checked_run(&v, 32, TmConfig::new(sys, 8));
         }
     }
 }
 
-/// Determinism: the same variant + seed produces identical sequential
-/// cycle counts (the harness depends on a stable baseline).
+/// Determinism: the same variant + seed produces an identical
+/// sequential run (the harness depends on a stable baseline).
 #[test]
 fn sequential_baseline_is_deterministic() {
     for name in ["kmeans-high", "ssca2", "genome"] {
         let v = stamp::util::variant(name).unwrap();
-        let a = run(&v.scaled(16), TmConfig::sequential()).run.sim_cycles;
-        let b = run(&v.scaled(16), TmConfig::sequential()).run.sim_cycles;
+        let a = Fingerprint::of(&checked_run(&v, 16, TmConfig::sequential()));
+        let b = Fingerprint::of(&checked_run(&v, 16, TmConfig::sequential()));
         assert_eq!(a, b, "{name} baseline not deterministic");
     }
 }

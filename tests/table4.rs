@@ -20,24 +20,25 @@
 //! the diff alongside the change.
 
 use bench::table4::{
-    characterize, check_table4, table4_path, table4_row, TABLE4_SCALE, TABLE4_THREADS,
+    table4_config, table4_pinned_render, table4_row, TABLE4_ARTIFACT, TABLE4_REGENERATE,
+    TABLE4_SCALE, TABLE4_THREADS,
 };
+use bench::{artifact, checked_run};
 use tm::SystemKind;
 
 #[test]
 fn table4_genome_rows_match_artifact() {
-    let path = table4_path();
+    let path = artifact::path(TABLE4_ARTIFACT);
     let artifact = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("{}: {e} (regenerate with table4 --write)", path.display()));
     let v = stamp_util::variant("genome").expect("known variant");
     for sys in SystemKind::ALL_TM {
-        let rep = characterize(&v, TABLE4_SCALE, sys, TABLE4_THREADS);
+        let rep = checked_run(&v, TABLE4_SCALE, table4_config(sys, TABLE4_THREADS));
         let row = table4_row(&v, TABLE4_SCALE, &rep).render();
         assert!(
             artifact.contains(&row),
             "genome row under {} diverged from results/table4.json\n  now: {row}\n\
-             If the engine change is intentional, regenerate with:\n\
-             cargo run --release -p bench --bin table4 -- --write",
+             If the engine change is intentional, regenerate with:\n{TABLE4_REGENERATE}",
             sys.label()
         );
     }
@@ -46,5 +47,6 @@ fn table4_genome_rows_match_artifact() {
 #[test]
 #[ignore = "tier-2: full re-measurement of results/table4.json (all 8 apps x 6 systems)"]
 fn table4_artifact_matches_full_rerun() {
-    check_table4().unwrap_or_else(|e| panic!("{e}"));
+    artifact::check(TABLE4_ARTIFACT, &table4_pinned_render(), TABLE4_REGENERATE)
+        .unwrap_or_else(|e| panic!("{e}"));
 }

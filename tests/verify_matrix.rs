@@ -3,41 +3,25 @@
 //! back with a clean serializability report at smoke scale, and the
 //! seeded engine mutations must be detected on real applications.
 
+use bench::{checked_run, run_variant};
 use stamp::tm::verify::reference;
 use stamp::tm::{MutationHook, SystemKind, TmConfig, Violation, DEFAULT_SCHED_SEED};
-use stamp::util::{sim_variants, AppParams};
-
-fn run(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
-    match params {
-        AppParams::Bayes(p) => stamp::bayes::run(p, cfg),
-        AppParams::Genome(p) => stamp::genome::run(p, cfg),
-        AppParams::Intruder(p) => stamp::intruder::run(p, cfg),
-        AppParams::Kmeans(p) => stamp::kmeans::run(p, cfg),
-        AppParams::Labyrinth(p) => stamp::labyrinth::run(p, cfg),
-        AppParams::Ssca2(p) => stamp::ssca2::run(p, cfg),
-        AppParams::Vacation(p) => stamp::vacation::run(p, cfg),
-        AppParams::Yada(p) => stamp::yada::run(p, cfg),
-    }
-}
+use stamp::util::{sim_variants, AppReport, Variant};
 
 /// All 20 simulator-sized variants (scaled down) on all six TM systems
 /// at 4 and 16 threads (the paper's largest machine), with the
 /// sanitizer recording every committed transaction: the
 /// direct-serialization graph must be acyclic and every runtime check
-/// (dirty reads, unstable reads, bypassed writes, early release) clean.
+/// (dirty reads, unstable reads, bypassed writes, early release) clean,
+/// and every app's own verification must pass.
 #[test]
 fn all_variants_all_systems_are_serializable() {
     for threads in [4, 16] {
         for v in sim_variants() {
             for sys in SystemKind::ALL_TM {
                 let cfg = TmConfig::new(sys, threads).verify(true);
-                let rep = run(&v.scaled(64), cfg);
+                let rep = checked_run(&v, 64, cfg);
                 let verify = rep.run.verify.as_ref().expect("verify enabled");
-                assert!(
-                    verify.is_clean(),
-                    "{} under {sys} at {threads} threads is not serializable:\n{verify}",
-                    v.name
-                );
                 assert!(
                     verify.cost.txns_checked > 0,
                     "{} under {sys} at {threads} threads: sanitizer saw no transactions",
@@ -48,13 +32,18 @@ fn all_variants_all_systems_are_serializable() {
     }
 }
 
-/// Run `params` under `cfg`, with every sanitizer finalize of the run
-/// checked against the reference algorithm on the same committed logs:
-/// same report text (violations, their order, the cycle witness), same
-/// edge and transaction counts. Returns the app's report.
-fn run_against_reference(params: &AppParams, cfg: TmConfig) -> stamp::util::AppReport {
+/// `run` `v` at `scale` under `cfg`, with every sanitizer finalize of
+/// the run checked against the reference algorithm on the same
+/// committed logs: same report text (violations, their order, the cycle
+/// witness), same edge and transaction counts. Returns the app's report.
+fn run_against_reference(
+    run: fn(&Variant, u32, TmConfig) -> AppReport,
+    v: &Variant,
+    scale: u32,
+    cfg: TmConfig,
+) -> AppReport {
     let label = format!("{} threads={}", cfg.system, cfg.threads);
-    let (rep, pairs) = reference::compare(|| run(params, cfg));
+    let (rep, pairs) = reference::compare(|| run(v, scale, cfg));
     assert!(!pairs.is_empty(), "{label}: no finalize ran");
     for (new, old) in &pairs {
         assert_eq!(new.to_string(), old.to_string(), "{label}");
@@ -77,7 +66,7 @@ fn finalize_matches_reference_on_app_runs() {
         for threads in [4, 16] {
             for sys in SystemKind::ALL_TM {
                 let cfg = TmConfig::new(sys, threads).verify(true);
-                run_against_reference(&v.scaled(64), cfg);
+                run_against_reference(checked_run, &v, 64, cfg);
             }
         }
     }
@@ -93,7 +82,7 @@ fn finalize_matches_reference_on_app_runs() {
                 .verify(true)
                 .mutation_hook(hook)
                 .sched_seed(sched_seed);
-            let rep = run_against_reference(&v.scaled(16), cfg);
+            let rep = run_against_reference(run_variant, &v, 16, cfg);
             let verify = rep.run.verify.as_ref().expect("verify enabled");
             cycles += verify
                 .violations
@@ -123,14 +112,7 @@ fn high_contention_cm_policies_are_serializable() {
             SystemKind::LazyStm,
             SystemKind::LazyHybrid,
         ] {
-            let cfg = TmConfig::new(sys, 8).verify(true).cm(policy);
-            let rep = run(&v.scaled(16), cfg);
-            let verify = rep.run.verify.as_ref().expect("verify enabled");
-            assert!(
-                verify.is_clean(),
-                "vacation-high under {sys} with {policy} is not serializable:\n{verify}"
-            );
-            assert!(rep.verified, "vacation-high under {sys} with {policy}");
+            checked_run(&v, 16, TmConfig::new(sys, 8).verify(true).cm(policy));
         }
     }
 }
@@ -151,7 +133,7 @@ fn skipped_validation_is_caught_on_vacation() {
                 .verify(true)
                 .mutation_hook(MutationHook::SkipTl2Validation)
                 .sched_seed(sched_seed);
-            let rep = run(&v.scaled(scale), cfg);
+            let rep = run_variant(&v, scale, cfg);
             let verify = rep.run.verify.as_ref().expect("verify enabled");
             if verify
                 .violations
@@ -182,7 +164,7 @@ fn corrupted_signature_is_caught_on_vacation() {
                     .verify(true)
                     .mutation_hook(MutationHook::CorruptSignatureHash)
                     .sched_seed(sched_seed);
-                let rep = run(&v.scaled(scale), cfg);
+                let rep = run_variant(&v, scale, cfg);
                 let verify = rep.run.verify.as_ref().expect("verify enabled");
                 if !verify.is_clean() {
                     caught = true;
